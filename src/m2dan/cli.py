@@ -14,12 +14,13 @@ import csv
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import (
     Benchmark,
     DEFAULT_FRACTION,
+    HALF_MODES,
     export_dataset,
     load_dataset_dir,
     make_benchmark,
@@ -51,10 +52,6 @@ from .training import (
     write_history_csv,
 )
 
-SCALE_CHOICES = ("mixed", "s1", "s3", "s5")
-CLASS_LOSS_CHOICES = ("ce", "focal")
-HALF_CHOICES = ("none", "left", "right", "both")
-
 ALPHA_GRID = (0.0003, 0.003, 0.03, 0.3)
 ETA_GRID = (0.001, 0.01, 0.1, 1.0)
 LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0)
@@ -62,41 +59,6 @@ SWEEP_GRIDS = {"alpha": ALPHA_GRID, "eta": ETA_GRID, "lambda": LAMBDA_GRID}
 
 
 # ------------------------------------------------------------- configuration
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One experiment, fully determined by these fields."""
-
-    alpha: float = 0.03
-    lam: float = 1.0
-    eta: float = 0.1
-    gamma: float = 2.0
-    lr: float = 0.001
-    epochs: int = 30
-    batch_size: int = 12
-    seed: int = 42
-    grl_mode: str = "constant"
-    grl_ramp_length: int | None = None
-    scale: str = "mixed"
-    class_loss: str = "focal"
-    domain_loss: bool = True
-    entropy_loss: bool = True
-    source_only: bool = False
-    data_dir: str | None = None
-    data_seed: int = 42
-    scale_fraction: float = DEFAULT_FRACTION
-    image_size: int = 64
-    half: str = "none"
-    out_dir: str = "out"
-
-    def hyper_params(self) -> HyperParams:
-        return HyperParams(
-            alpha=self.alpha, lam=self.lam, eta=self.eta, gamma=self.gamma,
-            lr=self.lr, epochs=self.epochs, batch_size=self.batch_size,
-            seed=self.seed, grl_mode=self.grl_mode,
-            grl_ramp_length=self.grl_ramp_length,
-        )
 
 
 def _parse_bool(value: str) -> bool:
@@ -116,15 +78,6 @@ def _parse_opt_str(value: str) -> str | None:
     return None if value.lower() == "none" else value
 
 
-def _parse_choice(options):
-    def parse(value: str) -> str:
-        if value not in options:
-            raise ValueError(f"expected one of {', '.join(options)}, got {value!r}")
-        return value
-
-    return parse
-
-
 def _fmt_value(v) -> str:
     if v is None:
         return "none"
@@ -135,29 +88,15 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-# config key -> (dataclass attribute, parser); file order is echo order
-_KEYS: dict[str, tuple[str, object]] = {
-    "alpha": ("alpha", float),
-    "lambda": ("lam", float),
-    "eta": ("eta", float),
-    "gamma": ("gamma", float),
-    "lr": ("lr", float),
-    "epochs": ("epochs", int),
-    "batch_size": ("batch_size", int),
-    "seed": ("seed", int),
-    "grl_mode": ("grl_mode", _parse_choice(("constant", "ramp"))),
-    "grl_ramp_length": ("grl_ramp_length", _parse_opt_int),
-    "scale": ("scale", _parse_choice(SCALE_CHOICES)),
-    "class_loss": ("class_loss", _parse_choice(CLASS_LOSS_CHOICES)),
-    "domain_loss": ("domain_loss", _parse_bool),
-    "entropy_loss": ("entropy_loss", _parse_bool),
-    "source_only": ("source_only", _parse_bool),
-    "data_dir": ("data_dir", _parse_opt_str),
-    "data_seed": ("data_seed", int),
-    "scale_fraction": ("scale_fraction", float),
-    "image_size": ("image_size", int),
-    "half": ("half", _parse_choice(HALF_CHOICES)),
-    "out_dir": ("out_dir", str),
+# parser per HyperParams field annotation
+_PARSERS = {"float": float, "int": int, "str": str, "bool": _parse_bool,
+            "int | None": _parse_opt_int, "str | None": _parse_opt_str}
+
+# config key -> (HyperParams field, parser), in field order, which is echo
+# order; the field `lam` is spelled `lambda` in config files
+_KEY_FIELDS = {
+    ("lambda" if f.name == "lam" else f.name): (f.name, _PARSERS[f.type])
+    for f in fields(HyperParams)
 }
 
 
@@ -178,25 +117,23 @@ def parse_config_text(text: str, label: str) -> dict[str, str]:
     return raw
 
 
-def build_config(raw: dict[str, str]) -> ExperimentConfig:
+def build_config(raw: dict[str, str]) -> HyperParams:
     values = {}
     for key, value in raw.items():
-        if key not in _KEYS:
+        if key not in _KEY_FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        attr, parser = _KEYS[key]
+        attr, parser = _KEY_FIELDS[key]
         try:
             values[attr] = parser(value)
         except ValueError as e:
             raise ConfigError(f"config key {key}: {e}") from e
-    cfg = ExperimentConfig(**values)
     try:
-        cfg.hyper_params()  # rejects invalid numeric settings early
+        return HyperParams(**values)
     except InvalidSpec as e:
         raise ConfigError(str(e)) from e
-    return cfg
 
 
-def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
+def load_config(path: str | None, overrides: list[str]) -> HyperParams:
     raw: dict[str, str] = {}
     if path is not None:
         try:
@@ -212,34 +149,26 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     return build_config(raw)
 
 
-def echo_config(cfg: ExperimentConfig) -> str:
-    lines = [f"{key} = {_fmt_value(getattr(cfg, attr))}" for key, (attr, _) in _KEYS.items()]
+def echo_config(cfg: HyperParams) -> str:
+    lines = [f"{key} = {_fmt_value(getattr(cfg, attr))}"
+             for key, (attr, _) in _KEY_FIELDS.items()]
     return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------- run plumbing
 
 
-def _load_benchmark(cfg: ExperimentConfig) -> Benchmark:
+def _load_benchmark(cfg: HyperParams) -> Benchmark:
     if cfg.data_dir is not None:
         return load_dataset_dir(Path(cfg.data_dir), half=cfg.half,
                                 image_size=cfg.image_size)
     return make_benchmark(cfg.data_seed, cfg.scale_fraction, cfg.image_size)
 
 
-def run_training(cfg: ExperimentConfig, benchmark: Benchmark) -> tuple[TrainState, MetricsReport]:
+def run_training(cfg: HyperParams, benchmark: Benchmark) -> tuple[TrainState, MetricsReport]:
     model = build_model(SCALE_VARIANTS[cfg.scale], ExtractorArch(),
                         benchmark.num_domains, seed=cfg.seed)
-    use_domain = cfg.domain_loss and not cfg.source_only
-    use_entropy = cfg.entropy_loss and not cfg.source_only
-    state = train(
-        model, benchmark, cfg.hyper_params(),
-        use_focal=(cfg.class_loss == "focal"),
-        use_domain=use_domain,
-        use_entropy=use_entropy,
-        train_domains=(0,) if cfg.source_only else None,
-    )
-    return state, evaluate(model, benchmark)
+    return train(model, benchmark, cfg), evaluate(model, benchmark)
 
 
 def _csv_cell(cell) -> str:
@@ -267,7 +196,7 @@ def _worker_count() -> int:
     return threads
 
 
-def _run_grid(fn, configs: list[ExperimentConfig]):
+def _run_grid(fn, configs: list[HyperParams]):
     """Train every config, results in grid order regardless of parallelism."""
     threads = _worker_count()
     if threads == 1:
@@ -294,7 +223,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_artifacts(cfg: ExperimentConfig, out: Path) -> MetricsReport:
+def _train_artifacts(cfg: HyperParams, out: Path) -> MetricsReport:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.txt").write_text(echo_config(cfg), encoding="utf-8")
     benchmark = _load_benchmark(cfg)
@@ -350,7 +279,7 @@ def cmd_ablate(args) -> int:
     metric_cols = [f"{m}_{n}" for n in target_names for m in ("acc", "auc")]
     metric_cols += ["mean_acc", "mean_auc"]
 
-    def run_one(c: ExperimentConfig) -> MetricsReport:
+    def run_one(c: HyperParams) -> MetricsReport:
         return run_training(c, benchmark)[1]
 
     if args.which == "scales":
@@ -389,11 +318,11 @@ def cmd_sweep(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     benchmark = _load_benchmark(cfg)
-    attr = {"alpha": "alpha", "eta": "eta", "lambda": "lam"}[args.param]
+    attr = _KEY_FIELDS[args.param][0]
     grid = SWEEP_GRIDS[args.param]
     configs = [replace(cfg, **{attr: value}) for value in grid]
 
-    def run_one(c: ExperimentConfig) -> MetricsReport:
+    def run_one(c: HyperParams) -> MetricsReport:
         return run_training(c, benchmark)[1]
 
     reports = _run_grid(run_one, configs)
@@ -452,7 +381,7 @@ def build_parser() -> _Parser:
     group.add_argument("--synthetic-seed", type=int, default=None)
     p.add_argument("--scale-fraction", type=float, default=DEFAULT_FRACTION)
     p.add_argument("--image-size", type=int, default=64)
-    p.add_argument("--half", choices=HALF_CHOICES, default="none")
+    p.add_argument("--half", choices=HALF_MODES, default="none")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="scale or loss ablation grid")

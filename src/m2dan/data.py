@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -199,6 +199,36 @@ def narrow_count(narrow_frac: float, n: int) -> int:
     return min(max(int(round(narrow_frac * n)), 1), n - 1) if n >= 2 else n
 
 
+def _render_split(spec: DomainSpec, image_size: int, seed: int, first: int, n: int,
+                  narrow_frac: float, domain_index: int, num_domains: int,
+                  labeled: bool) -> list[DomainSample]:
+    """Render samples first .. first + n - 1 of one domain; sample i draws all
+    of its randomness from default_rng([seed, i]) and the first
+    narrow_count(narrow_frac, n) of them are narrow."""
+    domain_label = np.zeros(num_domains)
+    domain_label[domain_index] = 1.0
+    n_narrow = narrow_count(narrow_frac, n)
+    out = []
+    for i in range(n):
+        rng = np.random.default_rng([seed, first + i])
+        is_narrow = i < n_narrow
+        img = _render_wedge(rng, image_size, is_narrow)
+        img = _apply_domain_shift(img, spec, rng)
+        label = None
+        if labeled:
+            label = np.zeros(2)
+            label[NARROW if is_narrow else OPEN] = 1.0
+        out.append(
+            DomainSample(
+                image=img[None, :, :],
+                domain_index=domain_index,
+                domain_label=domain_label.copy(),
+                class_label=label,
+            )
+        )
+    return out
+
+
 def gen_synthetic_domain(spec: DomainSpec, image_size: int, seed: int, *,
                          domain_index: int = 0, num_domains: int = 1,
                          labeled_train: bool = True) -> DomainDataset:
@@ -207,33 +237,10 @@ def gen_synthetic_domain(spec: DomainSpec, image_size: int, seed: int, *,
     Sample i (train indices first, then test) draws all of its randomness
     from default_rng([seed, i]); class counts follow narrow_frac exactly.
     """
-    domain_label = np.zeros(num_domains)
-    domain_label[domain_index] = 1.0
-
-    def make(split_offset: int, n: int, labeled: bool) -> list[DomainSample]:
-        n_narrow = narrow_count(spec.narrow_frac, n)
-        out = []
-        for i in range(n):
-            rng = np.random.default_rng([seed, split_offset + i])
-            is_narrow = i < n_narrow
-            img = _render_wedge(rng, image_size, is_narrow)
-            img = _apply_domain_shift(img, spec, rng)
-            label = None
-            if labeled:
-                label = np.zeros(2)
-                label[NARROW if is_narrow else OPEN] = 1.0
-            out.append(
-                DomainSample(
-                    image=img[None, :, :],
-                    domain_index=domain_index,
-                    domain_label=domain_label.copy(),
-                    class_label=label,
-                )
-            )
-        return out
-
-    train = make(0, spec.n_train, labeled_train)
-    test = make(spec.n_train, spec.n_test, True)
+    train = _render_split(spec, image_size, seed, 0, spec.n_train, spec.narrow_frac,
+                          domain_index, num_domains, labeled_train)
+    test = _render_split(spec, image_size, seed, spec.n_train, spec.n_test,
+                         spec.narrow_frac, domain_index, num_domains, True)
     return DomainDataset(name=spec.name, train=train, test=test)
 
 
@@ -286,34 +293,15 @@ def make_benchmark(seed: int, scale_fraction: float = DEFAULT_FRACTION,
     domains = []
     for idx, spec in enumerate(specs):
         (_, _), (te_narrow, te_total) = _FULL_COUNTS[spec.name]
-        dataset = gen_synthetic_domain(
-            spec,
-            image_size,
-            seed=seed + idx * 1_000_003,
-            domain_index=idx,
-            num_domains=len(specs),
-            labeled_train=(idx == 0),
-        )
+        domain_seed = seed + idx * 1_000_003
+        train = _render_split(spec, image_size, domain_seed, 0, spec.n_train,
+                              spec.narrow_frac, idx, len(specs), idx == 0)
         # the test split's class ratio comes from the test-side counts, which
         # differ slightly from the train ratio in every domain
-        test_frac = te_narrow / te_total
-        if abs(test_frac - spec.narrow_frac) > 1e-12:
-            alt = replace(spec, narrow_frac=test_frac)
-            dataset_alt = gen_synthetic_domain(
-                alt,
-                image_size,
-                seed=seed + idx * 1_000_003,
-                domain_index=idx,
-                num_domains=len(specs),
-                labeled_train=(idx == 0),
-            )
-            dataset.test = dataset_alt.test
-        domains.append(dataset)
+        test = _render_split(spec, image_size, domain_seed, spec.n_train, spec.n_test,
+                             te_narrow / te_total, idx, len(specs), True)
+        domains.append(DomainDataset(name=spec.name, train=train, test=test))
     return Benchmark(domains=domains)
-
-
-def default_benchmark(seed: int) -> Benchmark:
-    return make_benchmark(seed, DEFAULT_FRACTION, 64)
 
 
 # ---------------------------------------------------------------- batching
@@ -390,6 +378,8 @@ def epoch_batches(benchmark: Benchmark, batch_size: int, seed: int,
 
 # ---------------------------------------------------------------- PGM IO
 
+HALF_MODES = ("none", "left", "right", "both")  # crop applied to loaded PGMs
+
 
 def write_pgm(path: Path, image: np.ndarray) -> None:
     """8-bit binary PGM from a [H, W] float image in [0, 1]."""
@@ -450,7 +440,7 @@ def load_dataset_dir(root: Path, half: str = "none", image_size: int = 64) -> Be
     crops each image to its left / right half (or both halves as separate
     samples) before resizing to image_size x image_size.
     """
-    if half not in ("none", "left", "right", "both"):
+    if half not in HALF_MODES:
         raise InvalidSpec(f"half must be none/left/right/both, got {half!r}")
     root = Path(root)
     names = sorted(p.name for p in root.iterdir() if p.is_dir())

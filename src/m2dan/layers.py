@@ -167,9 +167,6 @@ class ParamSet:
     def __getitem__(self, path: str) -> Tensor:
         return self._params[path]
 
-    def __contains__(self, path: str) -> bool:
-        return path in self._params
-
     def __len__(self) -> int:
         return len(self._params)
 

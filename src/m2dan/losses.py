@@ -18,14 +18,20 @@ from typing import Any
 
 import numpy as np
 
+from .data import DEFAULT_FRACTION, HALF_MODES
 from .errors import InvalidSpec, NotOneHot, ShapeMismatch
 from .layers import GrlCoeff
+from .model import SCALE_VARIANTS
 from .tensor import Tensor, add, constant, log, mul, pow_scalar, sub, take_rows, tensor_sum
+
+
+CLASS_LOSSES = ("ce", "focal")
 
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Experiment hyperparameters; the defaults are the trained configuration."""
+    """The whole run config: what `m2dan train` parses, `train` consumes and a
+    checkpoint embeds. The defaults are the trained configuration."""
 
     alpha: float = 0.03  # GRL coefficient
     lam: float = 1.0  # weight of the classification term
@@ -34,9 +40,20 @@ class HyperParams:
     lr: float = 0.001
     epochs: int = 30
     batch_size: int = 12
-    seed: int = 42
+    seed: int = 42  # model init + batch shuffling
     grl_mode: str = "constant"
     grl_ramp_length: int | None = None
+    scale: str = "mixed"  # key of model.SCALE_VARIANTS
+    class_loss: str = "focal"
+    domain_loss: bool = True
+    entropy_loss: bool = True
+    source_only: bool = False  # train on source batches with the class loss alone
+    data_dir: str | None = None  # exported PGM tree instead of a synthetic benchmark
+    data_seed: int = 42
+    scale_fraction: float = DEFAULT_FRACTION
+    image_size: int = 64
+    half: str = "none"
+    out_dir: str = "out"
 
     def __post_init__(self):
         if self.lam < 0 or self.eta < 0 or self.gamma < 0:
@@ -45,11 +62,33 @@ class HyperParams:
             raise InvalidSpec(f"lr must be > 0, got {self.lr}")
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidSpec("epochs and batch_size must be >= 1")
-        self.grl  # validates alpha / ramp_length
+        self.grl  # validates grl_mode / alpha / ramp_length
+        for name, options in (("scale", tuple(SCALE_VARIANTS)), ("class_loss", CLASS_LOSSES),
+                              ("half", HALF_MODES)):
+            if getattr(self, name) not in options:
+                raise InvalidSpec(f"{name} must be one of {', '.join(options)}, "
+                                  f"got {getattr(self, name)!r}")
 
     @property
     def grl(self) -> GrlCoeff:
         return GrlCoeff(self.grl_mode, self.alpha, self.grl_ramp_length)
+
+    @property
+    def use_focal(self) -> bool:
+        return self.class_loss == "focal"
+
+    @property
+    def use_domain(self) -> bool:
+        return self.domain_loss and not self.source_only
+
+    @property
+    def use_entropy(self) -> bool:
+        return self.entropy_loss and not self.source_only
+
+    @property
+    def train_domains(self) -> tuple[int, ...] | None:
+        """Domains that contribute batches; None means all of them."""
+        return (0,) if self.source_only else None
 
 
 def _label_array(labels) -> np.ndarray:

@@ -12,7 +12,6 @@ logic lives here.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from .errors import (
 LOG_CLAMP_MIN = 1e-12
 LOG_CLAMP_MAX = 1.0
 
-_node_ids = itertools.count()
 _tls = threading.local()
 
 
@@ -47,13 +45,11 @@ class _TapeOp:
     per input.
     """
 
-    __slots__ = ("inputs", "output", "input_ids", "output_id", "backward_fn")
+    __slots__ = ("inputs", "output", "backward_fn")
 
     def __init__(self, inputs, output, backward_fn):
         self.inputs = inputs
         self.output = output
-        self.input_ids = tuple(t.node_id for t in inputs)
-        self.output_id = output.node_id
         self.backward_fn = backward_fn
 
 
@@ -102,7 +98,7 @@ def _grad_enabled() -> bool:
 class Tensor:
     """Dense float64 tensor: row-major buffer + shape, optional gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "node_id")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -113,7 +109,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self.node_id = next(_node_ids)
 
     @property
     def shape(self) -> tuple[int, ...]:

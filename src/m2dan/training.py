@@ -1,11 +1,14 @@
 """SGD training loop, history, and binary checkpoints.
 
+`train` takes its whole run config from one HyperParams: the loss terms, the
+trainable groups and the domains that contribute batches all derive from it.
+
 Checkpoint layout: magic "M2DN", format version as 4-byte little-endian
 uint32, then each parameter in lexicographic path order as [path length u32,
 UTF-8 path, rank u32, dims u32 each, raw float64 little-endian values].
 Training checkpoints append one trailing UTF-8 JSON block carrying the model
-spec, hyperparameters, step counter, and epoch history, so a checkpoint is
-self-describing.
+spec, the run config (every HyperParams field but out_dir), step counter, and
+epoch history, so a checkpoint is self-describing.
 """
 
 from __future__ import annotations
@@ -63,16 +66,16 @@ def sgd_step(params: ParamSet | Iterable[tuple[str, Tensor]], lr: float) -> None
 
 
 def train(model: ModelBundle, benchmark: Benchmark, hp: HyperParams, *,
-          use_focal: bool = True, use_domain: bool = True, use_entropy: bool = True,
-          train_domains: Sequence[int] | None = None,
           on_epoch: Callable[[int, dict], None] | None = None) -> TrainState:
     """Run the full training loop and per-epoch test evaluation.
 
-    train_domains restricts which domains contribute batches (e.g. (0,) for
-    the source-only baseline); evaluation always covers every domain. Only
+    hp selects the loss terms and, for a source-only run, restricts batches
+    to the source domain; evaluation always covers every domain. Only
     parameter groups that participate in the objective are stepped, so gd
     never moves unless the domain loss is on.
     """
+    use_focal, use_domain, use_entropy = hp.use_focal, hp.use_domain, hp.use_entropy
+    train_domains = hp.train_domains
     groups = ["gf", "gm", "gy"] + (["gd"] if use_domain else [])
     trainable = [(p, t) for p, t in model.params.items() if p.split(".")[0] in groups]
     state = TrainState(model=model, hp=hp, step=0, history=[])
@@ -173,7 +176,9 @@ def _params_bytes(params: ParamSet) -> bytes:
 def save_checkpoint(state: TrainState, path: Path) -> None:
     tail = {
         "model": model_spec_dict(state.model),
-        "hp": asdict(state.hp),
+        # where the artifacts went is not part of the run: the same config
+        # written to another directory yields the same checkpoint bytes
+        "hp": {k: v for k, v in asdict(state.hp).items() if k != "out_dir"},
         "step": state.step,
         "history": state.history,
     }

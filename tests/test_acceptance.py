@@ -372,14 +372,7 @@ def test_criterion_05_architecture_invariants():
 def _directional_run(use_domain):
     bench = make_benchmark(42)  # default scale and image size
     model = build_model(ScaleSpec((1, 3, 5)), ExtractorArch(), bench.num_domains, seed=42)
-    train(
-        model,
-        bench,
-        HyperParams(),
-        use_domain=use_domain,
-        use_entropy=use_domain,
-        train_domains=None if use_domain else (0,),
-    )
+    train(model, bench, HyperParams(source_only=not use_domain))
     return evaluate(model, bench)
 
 

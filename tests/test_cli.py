@@ -9,7 +9,6 @@ from m2dan.cli import (
     ALPHA_GRID,
     ETA_GRID,
     LAMBDA_GRID,
-    ExperimentConfig,
     build_config,
     echo_config,
     load_config,
@@ -17,6 +16,7 @@ from m2dan.cli import (
     parse_config_text,
 )
 from m2dan.errors import ConfigError
+from m2dan.losses import HyperParams
 
 TINY = {
     "epochs": "2",
@@ -46,7 +46,7 @@ def read_csv(path):
 
 def test_config_defaults():
     cfg = build_config({})
-    assert cfg == ExperimentConfig()
+    assert cfg == HyperParams()
     assert cfg.alpha == 0.03 and cfg.lam == 1.0 and cfg.eta == 0.1
     assert cfg.gamma == 2.0 and cfg.lr == 0.001
     assert cfg.epochs == 30 and cfg.batch_size == 12 and cfg.seed == 42
@@ -73,6 +73,17 @@ def test_config_rejects_unknown_and_bad_values():
         parse_config_text("alpha = 1\nalpha = 2\n", "dup")
     with pytest.raises(ConfigError):
         parse_config_text("just some text\n", "bad")
+
+
+def test_readme_config_table_matches_echo():
+    # README's "Configuration keys" table lists every key echo_config prints,
+    # in the same order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Configuration keys", 1)[1].split("\n\n")[1]
+    documented = [line.split("`")[1] for line in table.splitlines()
+                  if line.startswith("| `")]
+    echoed = [line.split(" = ")[0] for line in echo_config(HyperParams()).splitlines()]
+    assert documented == echoed
 
 
 def test_overrides_beat_config_file(tmp_path):

@@ -1,13 +1,15 @@
 """Synthetic data generation, batching, and PGM round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from m2dan import data as data_mod
 from m2dan.data import (
     CLASS_NAMES,
     Benchmark,
     DomainSpec,
-    default_benchmark,
     epoch_batches,
     export_dataset,
     gen_synthetic_domain,
@@ -101,7 +103,7 @@ def test_shift_pipeline_changes_images():
 
 
 def test_default_benchmark_counts():
-    bench = default_benchmark(seed=0)
+    bench = make_benchmark(0)
     assert bench.names == ["source", "target1", "target2"]
     assert bench.num_domains == 3
     sizes = [(len(d.train), len(d.test)) for d in bench.domains]
@@ -132,6 +134,32 @@ def test_benchmark_deterministic_in_seed():
     for da, db in zip(a.domains, b.domains):
         for sa, sb in zip(da.train + da.test, db.train + db.test):
             assert np.array_equal(sa.image, sb.image)
+
+
+def test_benchmark_renders_each_sample_once(monkeypatch):
+    calls = []
+    real = data_mod._render_wedge
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(data_mod, "_render_wedge", counting)
+    bench = make_benchmark(seed=1, scale_fraction=0.01, image_size=16)
+    assert len(calls) == sum(len(d.train) + len(d.test) for d in bench.domains)
+
+
+def test_benchmark_bytes_are_pinned():
+    # sha256 of make_benchmark(7, 0.01, 32) (images, class labels, domain
+    # labels), recorded when each domain was still rendered twice: rendering
+    # each sample once must not change a byte
+    h = hashlib.sha256()
+    for d in make_benchmark(7, 0.01, 32).domains:
+        for s in d.train + d.test:
+            h.update(s.image.tobytes())
+            h.update(b"none" if s.class_label is None else s.class_label.tobytes())
+            h.update(s.domain_label.tobytes())
+    assert h.hexdigest() == "2cae99749ade5b0a04b52f6463845c96f9dacf0c2ba186522a85b9cb8a95991f"
 
 
 # ---------------------------------------------------------------- batching

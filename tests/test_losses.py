@@ -232,4 +232,8 @@ def test_hyperparams_validation():
         HyperParams(alpha=-0.01)
     with pytest.raises(InvalidSpec):
         HyperParams(grl_mode="ramp")  # needs ramp_length
+    for choice in ({"grl_mode": "step"}, {"scale": "s7"}, {"class_loss": "hinge"},
+                   {"half": "top"}):
+        with pytest.raises(InvalidSpec):
+            HyperParams(**choice)
     assert HyperParams(grl_mode="ramp", grl_ramp_length=100).grl.value_at(50) == pytest.approx(0.015)

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -117,14 +118,14 @@ def test_train_is_deterministic():
 
 
 def test_disabled_losses_leave_class_path_trajectory_unchanged():
-    # with the reversal coefficient and entropy weight at zero, training on
-    # source batches alone must move gf/gm/gy exactly as the plain source-only
-    # run does: the extra loss terms exist but contribute zero gradient
+    # with the reversal coefficient and entropy weight at zero, training must
+    # move gf/gm/gy exactly as the run without those terms does: the extra
+    # loss terms exist but contribute zero gradient
     bench = tiny_benchmark()
     hp_zero = tiny_hp(alpha=0.0, eta=0.0)
-    state_a = train(tiny_model(seed=5), bench, hp_zero, train_domains=(0,))
-    state_b = train(tiny_model(seed=5), bench, tiny_hp(), use_domain=False,
-                    use_entropy=False, train_domains=(0,))
+    state_a = train(tiny_model(seed=5), bench, hp_zero)
+    state_b = train(tiny_model(seed=5), bench,
+                    tiny_hp(domain_loss=False, entropy_loss=False))
     snap_a = param_snapshot(state_a.model, groups=("gf", "gm", "gy"))
     snap_b = param_snapshot(state_b.model, groups=("gf", "gm", "gy"))
     for path in snap_a:
@@ -139,8 +140,7 @@ def test_domain_head_is_frozen_without_domain_loss():
     bench = tiny_benchmark()
     model = tiny_model(seed=9)
     init_gd = param_snapshot(model, groups=("gd",))
-    state = train(model, bench, tiny_hp(epochs=1), use_domain=False,
-                  use_entropy=False, train_domains=(0,))
+    state = train(model, bench, tiny_hp(epochs=1, source_only=True))
     after_gd = param_snapshot(state.model, groups=("gd",))
     for path in init_gd:
         assert np.array_equal(init_gd[path], after_gd[path])
@@ -213,6 +213,37 @@ def test_checkpoint_round_trip(tmp_path):
     again = tmp_path / "again.ckpt"
     save_checkpoint(loaded, again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_keeps_source_only_provenance(tmp_path):
+    hp = tiny_hp(epochs=1, source_only=True, class_loss="ce", scale="s3", data_seed=11)
+    state = train(tiny_model(), tiny_benchmark(), hp)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path)
+    loaded = load_checkpoint(path).hp
+    assert (loaded.source_only, loaded.class_loss, loaded.scale, loaded.data_seed) == \
+        (True, "ce", "s3", 11)
+    assert loaded == hp
+
+
+def test_checkpoint_with_ten_key_hp_block_loads_with_defaults(tmp_path):
+    # checkpoints written before the run config was embedded in full carry
+    # only the ten training hyperparameters
+    state = trained_state()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path)
+    raw = path.read_bytes()
+    cut = raw.index(b'{"history"')  # the JSON tail, keys sorted
+    tail = json.loads(raw[cut:])
+    old_keys = ("alpha", "lam", "eta", "gamma", "lr", "epochs", "batch_size", "seed",
+                "grl_mode", "grl_ramp_length")
+    tail["hp"] = {k: v for k, v in tail["hp"].items() if k in old_keys}
+    tail["hp"]["seed"] = 5
+    path.write_bytes(raw[:cut] + json.dumps(tail, sort_keys=True).encode("utf-8"))
+    loaded = load_checkpoint(path)
+    assert loaded.hp == HyperParams(epochs=1, batch_size=4, lr=0.02, seed=5)
+    for p, t in state.model.params.items():
+        assert np.array_equal(loaded.model.params[p].data, t.data), p
 
 
 def test_checkpoint_starts_with_magic_and_version(tmp_path):
