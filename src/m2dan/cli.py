@@ -21,6 +21,7 @@ from .data import (
     Benchmark,
     DEFAULT_FRACTION,
     HALF_MODES,
+    NARROW,
     export_dataset,
     load_dataset_dir,
     make_benchmark,
@@ -168,7 +169,8 @@ def _load_benchmark(cfg: HyperParams) -> Benchmark:
 def run_training(cfg: HyperParams, benchmark: Benchmark) -> tuple[TrainState, MetricsReport]:
     model = build_model(SCALE_VARIANTS[cfg.scale], ExtractorArch(),
                         benchmark.num_domains, seed=cfg.seed)
-    return train(model, benchmark, cfg), evaluate(model, benchmark)
+    state = train(model, benchmark, cfg)
+    return state, state.report
 
 
 def _csv_cell(cell) -> str:
@@ -213,9 +215,9 @@ def cmd_gen_data(args) -> int:
     benchmark = make_benchmark(args.seed, args.scale_fraction, args.image_size)
     export_dataset(benchmark, out)
     for dataset in benchmark.domains:
-        tr_narrow = sum(1 for s in dataset.train
-                        if s.class_label is not None and s.class_label[0] == 1.0)
-        te_narrow = sum(1 for s in dataset.test if s.class_label[0] == 1.0)
+        train_labels = dataset.train.class_labels
+        tr_narrow = 0 if train_labels is None else int(train_labels[:, NARROW].sum())
+        te_narrow = int(dataset.test.class_labels[:, NARROW].sum())
         label = (f"train={len(dataset.train)} (narrow={tr_narrow})"
                  if tr_narrow else f"train={len(dataset.train)} (unlabeled)")
         print(f"{dataset.name}: {label} test={len(dataset.test)} (narrow={te_narrow})")

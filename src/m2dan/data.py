@@ -10,6 +10,11 @@ quantized to the 1/255 grid so the 8-bit PGM export round-trips bit-exactly.
 
 Every sample's randomness derives from (seed, sample index), so generation is
 order-independent and bit-reproducible.
+
+Each domain split is a `Split`: an image array [N, 1, H, W] plus one-hot class
+labels [N, 2], or None when the split is unlabeled (a target domain's train
+split). A row's domain is the position of its split's domain in
+`Benchmark.domains`; batching and evaluation index straight into the arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,22 +73,34 @@ class DomainSpec:
             raise InvalidSpec(f"{self.name}: bad noise settings")
 
 
-@dataclass
-class DomainSample:
-    """One image with its labels. class_label is None exactly when the sample
-    belongs to a target domain's train split (unlabeled for training)."""
+class Sample(NamedTuple):
+    """One row of a Split, as views into its arrays."""
 
-    image: np.ndarray  # [1, H, W] float64 in [0, 1], on the 1/255 grid
-    domain_index: int
-    domain_label: np.ndarray  # one-hot over all domains
-    class_label: np.ndarray | None  # one-hot over {narrow, open} or None
+    image: np.ndarray  # [1, H, W]
+    class_label: np.ndarray | None  # one-hot over {narrow, open}, or None
+
+
+@dataclass
+class Split:
+    """One domain's train or test split. class_labels is None exactly when
+    the split is unlabeled: a target domain's train split."""
+
+    images: np.ndarray  # [N, 1, H, W] float64 in [0, 1], on the 1/255 grid
+    class_labels: np.ndarray | None  # [N, 2] one-hot over {narrow, open}
+
+    def __len__(self) -> int:
+        return self.images.shape[0]
+
+    def __getitem__(self, i: int) -> Sample:
+        labels = self.class_labels
+        return Sample(self.images[i], None if labels is None else labels[i])
 
 
 @dataclass
 class DomainDataset:
     name: str
-    train: list[DomainSample]
-    test: list[DomainSample]
+    train: Split
+    test: Split
 
 
 @dataclass
@@ -199,48 +216,38 @@ def narrow_count(narrow_frac: float, n: int) -> int:
     return min(max(int(round(narrow_frac * n)), 1), n - 1) if n >= 2 else n
 
 
-def _render_split(spec: DomainSpec, image_size: int, seed: int, first: int, n: int,
-                  narrow_frac: float, domain_index: int, num_domains: int,
-                  labeled: bool) -> list[DomainSample]:
-    """Render samples first .. first + n - 1 of one domain; sample i draws all
-    of its randomness from default_rng([seed, i]) and the first
-    narrow_count(narrow_frac, n) of them are narrow."""
-    domain_label = np.zeros(num_domains)
-    domain_label[domain_index] = 1.0
+def _render_split(spec: DomainSpec, seed: int, first: int, narrow_frac: float,
+                  labeled: bool, images: np.ndarray) -> Split:
+    """Render samples first .. first + n - 1 of one domain into images
+    ([n, 1, H, W]); sample i draws all of its randomness from
+    default_rng([seed, i]) and the first narrow_count(narrow_frac, n) of them
+    are narrow."""
+    n, image_size = images.shape[0], images.shape[-1]
     n_narrow = narrow_count(narrow_frac, n)
-    out = []
     for i in range(n):
         rng = np.random.default_rng([seed, first + i])
-        is_narrow = i < n_narrow
-        img = _render_wedge(rng, image_size, is_narrow)
-        img = _apply_domain_shift(img, spec, rng)
-        label = None
-        if labeled:
-            label = np.zeros(2)
-            label[NARROW if is_narrow else OPEN] = 1.0
-        out.append(
-            DomainSample(
-                image=img[None, :, :],
-                domain_index=domain_index,
-                domain_label=domain_label.copy(),
-                class_label=label,
-            )
-        )
-    return out
+        img = _render_wedge(rng, image_size, i < n_narrow)
+        images[i, 0] = _apply_domain_shift(img, spec, rng)
+    labels = None
+    if labeled:
+        labels = np.zeros((n, 2))
+        labels[:n_narrow, NARROW] = 1.0
+        labels[n_narrow:, OPEN] = 1.0
+    return Split(images, labels)
 
 
 def gen_synthetic_domain(spec: DomainSpec, image_size: int, seed: int, *,
-                         domain_index: int = 0, num_domains: int = 1,
                          labeled_train: bool = True) -> DomainDataset:
     """Generate one domain's train and test splits.
 
     Sample i (train indices first, then test) draws all of its randomness
     from default_rng([seed, i]); class counts follow narrow_frac exactly.
     """
-    train = _render_split(spec, image_size, seed, 0, spec.n_train, spec.narrow_frac,
-                          domain_index, num_domains, labeled_train)
-    test = _render_split(spec, image_size, seed, spec.n_train, spec.n_test,
-                         spec.narrow_frac, domain_index, num_domains, True)
+    images = np.empty((spec.n_train + spec.n_test, 1, image_size, image_size))
+    train = _render_split(spec, seed, 0, spec.narrow_frac, labeled_train,
+                          images[: spec.n_train])
+    test = _render_split(spec, seed, spec.n_train, spec.narrow_frac, True,
+                         images[spec.n_train :])
     return DomainDataset(name=spec.name, train=train, test=test)
 
 
@@ -290,16 +297,21 @@ def make_benchmark(seed: int, scale_fraction: float = DEFAULT_FRACTION,
     """Three-domain synthetic benchmark; the default fraction reproduces the
     fixed counts 1505/88/304 train and 367/88/304 test."""
     specs = benchmark_domain_specs(scale_fraction)
-    domains = []
+    # every split is a view into one array: freeing separate split-sized
+    # arrays raises glibc's dynamic mmap threshold, which then keeps later
+    # evaluation buffers on the heap and raises the peak RSS
+    images = np.empty((sum(s.n_train + s.n_test for s in specs), 1, image_size, image_size))
+    domains, end = [], 0
     for idx, spec in enumerate(specs):
         (_, _), (te_narrow, te_total) = _FULL_COUNTS[spec.name]
         domain_seed = seed + idx * 1_000_003
-        train = _render_split(spec, image_size, domain_seed, 0, spec.n_train,
-                              spec.narrow_frac, idx, len(specs), idx == 0)
+        start, mid, end = end, end + spec.n_train, end + spec.n_train + spec.n_test
+        train = _render_split(spec, domain_seed, 0, spec.narrow_frac, idx == 0,
+                              images[start:mid])
         # the test split's class ratio comes from the test-side counts, which
         # differ slightly from the train ratio in every domain
-        test = _render_split(spec, image_size, domain_seed, spec.n_train, spec.n_test,
-                             te_narrow / te_total, idx, len(specs), True)
+        test = _render_split(spec, domain_seed, spec.n_train, te_narrow / te_total, True,
+                             images[mid:end])
         domains.append(DomainDataset(name=spec.name, train=train, test=test))
     return Benchmark(domains=domains)
 
@@ -353,26 +365,21 @@ def epoch_batches(benchmark: Benchmark, batch_size: int, seed: int,
         )
     per = batch_size // len(idxs)
     rng = np.random.default_rng([seed, epoch])
-    streams = {d: _DomainStream(len(benchmark.domains[d].train), rng) for d in idxs}
-    largest = max(len(benchmark.domains[d].train) for d in idxs)
-    for _ in range(largest // per):
-        images, dom_rows, cls_rows, src_rows = [], [], [], []
-        row = 0
-        for d in idxs:
-            train = benchmark.domains[d].train
-            for i in streams[d].take(per):
-                s = train[i]
-                images.append(s.image)
-                dom_rows.append(s.domain_label)
-                if s.class_label is not None and s.domain_index == 0:
-                    src_rows.append(row)
-                    cls_rows.append(s.class_label)
-                row += 1
+    splits = [benchmark.domains[d].train for d in idxs]
+    streams = [_DomainStream(len(split), rng) for split in splits]
+    # every batch has the same layout: per rows of each domain, in idxs order;
+    # the class loss sees the rows of domain 0 when its train split is labeled
+    domain_labels = np.repeat(np.eye(benchmark.num_domains)[idxs], per, axis=0)
+    labeled = 0 in idxs and benchmark.domains[0].train.class_labels is not None
+    src = idxs.index(0) if labeled else None
+    source_rows = np.arange(src * per, (src + 1) * per) if labeled else np.zeros(0, np.int64)
+    for _ in range(max(len(split) for split in splits) // per):
+        picks = [stream.take(per) for stream in streams]
         yield DomainBatch(
-            images=Tensor(np.stack(images)),
-            domain_labels=np.stack(dom_rows),
-            source_rows=np.asarray(src_rows, dtype=np.int64),
-            class_labels=np.stack(cls_rows) if cls_rows else np.zeros((0, 2)),
+            images=Tensor(np.concatenate([s.images[p] for s, p in zip(splits, picks)])),
+            domain_labels=domain_labels,
+            source_rows=source_rows,
+            class_labels=splits[src].class_labels[picks[src]] if labeled else np.zeros((0, 2)),
         )
 
 
@@ -419,18 +426,15 @@ def export_dataset(benchmark: Benchmark, root: Path) -> None:
     """Write root/<domain>/{train,test}/{narrow,open,unlabeled}/*.pgm."""
     root = Path(root)
     for dataset in benchmark.domains:
-        for split_name, samples in (("train", dataset.train), ("test", dataset.test)):
+        for split_name, split in (("train", dataset.train), ("test", dataset.test)):
             counters = {}
-            for s in samples:
-                if s.class_label is None:
-                    sub = "unlabeled"
-                else:
-                    sub = CLASS_NAMES[int(np.argmax(s.class_label))]
+            for image, label in split:
+                sub = "unlabeled" if label is None else CLASS_NAMES[int(np.argmax(label))]
                 d = root / dataset.name / split_name / sub
                 d.mkdir(parents=True, exist_ok=True)
                 n = counters.get(sub, 0)
                 counters[sub] = n + 1
-                write_pgm(d / f"img_{n:05d}.pgm", s.image[0])
+                write_pgm(d / f"img_{n:05d}.pgm", image[0])
 
 
 def load_dataset_dir(root: Path, half: str = "none", image_size: int = 64) -> Benchmark:
@@ -448,7 +452,6 @@ def load_dataset_dir(root: Path, half: str = "none", image_size: int = 64) -> Be
         raise MissingSource(f"{root}: no 'source' domain directory")
     names.remove("source")
     names.insert(0, "source")
-    num_domains = len(names)
 
     def crops(img: np.ndarray) -> list[np.ndarray]:
         w = img.shape[1]
@@ -462,38 +465,32 @@ def load_dataset_dir(root: Path, half: str = "none", image_size: int = 64) -> Be
             parts = [img[:, : w // 2], img[:, w // 2 :]]
         return [resize_image(p, image_size, image_size) for p in parts]
 
-    def load_split(domain_idx: int, split_dir: Path, labeled_required: bool) -> list[DomainSample]:
-        domain_label = np.zeros(num_domains)
-        domain_label[domain_idx] = 1.0
-        samples: list[DomainSample] = []
+    def load_split(split_dir: Path, labeled_required: bool) -> Split:
         class_dirs = [split_dir / c for c in CLASS_NAMES]
-        has_labels = any(d.is_dir() for d in class_dirs)
-        if has_labels or labeled_required:
+        labeled = labeled_required or any(d.is_dir() for d in class_dirs)
+        files: list[tuple[Path, int | None]] = []
+        if labeled:
             for ci, cdir in enumerate(class_dirs):
-                files = sorted(cdir.glob("*.pgm")) if cdir.is_dir() else []
-                if not files:
+                found = sorted(cdir.glob("*.pgm")) if cdir.is_dir() else []
+                if not found:
                     raise EmptyClassDir(f"{cdir}: labeled split has no '{CLASS_NAMES[ci]}' samples")
-                label = np.zeros(2)
-                label[ci] = 1.0
-                for f in files:
-                    for img in crops(read_pgm(f)):
-                        samples.append(
-                            DomainSample(img[None], domain_idx, domain_label.copy(), label.copy())
-                        )
+                files += [(f, ci) for f in found]
         else:
             udir = split_dir / "unlabeled"
-            files = sorted(udir.glob("*.pgm")) if udir.is_dir() else []
+            files = [(f, None) for f in sorted(udir.glob("*.pgm"))] if udir.is_dir() else []
             if not files:
                 raise EmptyClassDir(f"{split_dir}: no class dirs and no unlabeled samples")
-            for f in files:
-                for img in crops(read_pgm(f)):
-                    samples.append(DomainSample(img[None], domain_idx, domain_label.copy(), None))
-        return samples
+        images, classes = [], []
+        for f, ci in files:
+            for img in crops(read_pgm(f)):
+                images.append(img[None])
+                classes.append(ci)
+        return Split(np.stack(images), np.eye(2)[classes] if labeled else None)
 
     domains = []
     for idx, name in enumerate(names):
         base = root / name
-        train = load_split(idx, base / "train", labeled_required=(idx == 0))
-        test = load_split(idx, base / "test", labeled_required=True)
+        train = load_split(base / "train", labeled_required=(idx == 0))
+        test = load_split(base / "test", labeled_required=True)
         domains.append(DomainDataset(name=name, train=train, test=test))
     return Benchmark(domains=domains)

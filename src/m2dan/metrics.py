@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateLabels, EmptyInput, ShapeMismatch
 from .model import ModelBundle, source_only_forward
-from .tensor import Tensor, no_grad, reset_tape
+from .tensor import Tensor, no_grad
 
 POSITIVE_CLASS = 0  # "narrow"
 
@@ -95,15 +95,13 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def predict_probs(model: ModelBundle, samples, chunk: int = 128) -> np.ndarray:
-    """Class probabilities for a list of samples, without recording gradients."""
-    rows = []
+def predict_probs(model: ModelBundle, split, chunk: int = 128) -> np.ndarray:
+    """Class probabilities for every row of a split, without recording
+    gradients."""
+    images = split.images
     with no_grad():
-        for start in range(0, len(samples), chunk):
-            batch = samples[start : start + chunk]
-            x = Tensor(np.stack([s.image for s in batch]))
-            rows.append(source_only_forward(model, x).data)
-    reset_tape()
+        rows = [source_only_forward(model, Tensor(images[start : start + chunk])).data
+                for start in range(0, len(images), chunk)]
     return np.concatenate(rows, axis=0)
 
 
@@ -111,17 +109,17 @@ def evaluate(model: ModelBundle, benchmark) -> MetricsReport:
     """Run the classifier on every domain's test split."""
     domains = []
     for dataset in benchmark.domains:
-        samples = dataset.test
-        if len(samples) == 0:
+        split = dataset.test
+        if len(split) == 0:
             raise EmptyInput(f"domain {dataset.name} has no test samples")
-        probs = predict_probs(model, samples)
-        labels = np.stack([s.class_label for s in samples])
+        probs = predict_probs(model, split)
+        labels = split.class_labels
         scores = probs[:, POSITIVE_CLASS]
         positives = (labels.argmax(axis=1) == POSITIVE_CLASS).astype(np.int64)
         domains.append(
             DomainMetrics(
                 name=dataset.name,
-                n=len(samples),
+                n=len(split),
                 accuracy=accuracy(probs, labels),
                 auc=auc(scores, positives),
             )

@@ -20,7 +20,7 @@ import re
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .layers import ParamSet
 from .losses import HyperParams, total_objective
-from .metrics import evaluate
+from .metrics import MetricsReport, evaluate
 from .model import ModelBundle, forward, model_from_spec_dict, model_spec_dict
 from .tensor import Tensor, reset_tape
 
@@ -53,6 +53,7 @@ class TrainState:
     hp: HyperParams
     step: int
     history: list[dict]
+    report: MetricsReport | None = None  # last epoch's evaluation; not checkpointed
 
 
 def sgd_step(params: ParamSet | Iterable[tuple[str, Tensor]], lr: float) -> None:
@@ -65,9 +66,9 @@ def sgd_step(params: ParamSet | Iterable[tuple[str, Tensor]], lr: float) -> None
         p.grad = np.zeros(p.shape)
 
 
-def train(model: ModelBundle, benchmark: Benchmark, hp: HyperParams, *,
-          on_epoch: Callable[[int, dict], None] | None = None) -> TrainState:
-    """Run the full training loop and per-epoch test evaluation.
+def train(model: ModelBundle, benchmark: Benchmark, hp: HyperParams) -> TrainState:
+    """Run the full training loop and per-epoch test evaluation; the returned
+    state carries the last epoch's report.
 
     hp selects the loss terms and, for a source-only run, restricts batches
     to the source domain; evaluation always covers every domain. Only
@@ -104,16 +105,14 @@ def train(model: ModelBundle, benchmark: Benchmark, hp: HyperParams, *,
         if n_batches == 0:
             raise InvalidSpec("training data is smaller than one batch")
         reset_tape()
-        report = evaluate(model, benchmark)
+        state.report = evaluate(model, benchmark)
         row = {"epoch": epoch}
         for k in ("l_fo", "l_en", "l_d"):
             row[k] = sums[k] / n_batches
-        for d in report.domains:
+        for d in state.report.domains:
             row[f"acc_{d.name}"] = d.accuracy
             row[f"auc_{d.name}"] = d.auc
         state.history.append(row)
-        if on_epoch is not None:
-            on_epoch(epoch, row)
     return state
 
 
@@ -269,5 +268,8 @@ def load_checkpoint(path: Path, model_spec: dict | None = None) -> TrainState:
                 f"{path}: {name} has shape {params[name].shape}, expected {tensor.shape}"
             )
         tensor.data[...] = params[name]
-    hp = HyperParams(**tail["hp"])
-    return TrainState(model=model, hp=hp, step=int(tail["step"]), history=tail["history"])
+    try:
+        return TrainState(model=model, hp=HyperParams(**tail["hp"]), step=int(tail["step"]),
+                          history=tail["history"])
+    except (KeyError, TypeError, ValueError, InvalidSpec) as e:
+        raise CorruptFile(f"{path}: bad training state block: {e!r}") from e

@@ -175,6 +175,26 @@ def test_eval_reproduces_train_metrics(trained_dir, capsys):
     assert printed == (trained_dir / "out" / "metrics.json").read_text()
 
 
+def test_training_run_evaluates_once(monkeypatch):
+    from m2dan import cli, training
+
+    calls = []
+    real = training.evaluate
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(training, "evaluate", counting)
+    monkeypatch.setattr(cli, "evaluate", counting)
+    cfg = build_config(dict(TINY, epochs="1"))
+    state, report = cli.run_training(cfg, cli._load_benchmark(cfg))
+    assert len(calls) == 1
+    assert report is state.report
+    last = state.history[-1]
+    assert [last[f"auc_{d.name}"] for d in report.domains] == [d.auc for d in report.domains]
+
+
 def test_eval_missing_checkpoint_is_a_data_error(tmp_path):
     assert main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
                  "--synthetic-seed", "1"]) == 2

@@ -5,8 +5,9 @@ import pytest
 
 from m2dan.data import make_benchmark
 from m2dan.errors import DegenerateLabels, EmptyInput, ShapeMismatch
-from m2dan.metrics import MetricsReport, accuracy, auc, evaluate
-from m2dan.model import ExtractorArch, ScaleSpec, build_model
+from m2dan.metrics import MetricsReport, accuracy, auc, evaluate, predict_probs
+from m2dan.model import ExtractorArch, ScaleSpec, build_model, source_only_forward
+from m2dan.tensor import Tensor, reset_tape, tensor_sum
 
 
 def brute_force_auc(scores, labels):
@@ -137,3 +138,34 @@ def test_metrics_json_field_order():
     full = evaluate(model, bench).to_json()
     row = full[full.index('"name"') :]
     assert row.index('"name"') < row.index('"n"') < row.index('"accuracy"') < row.index('"auc"')
+
+
+def test_evaluate_keeps_the_callers_tape():
+    # evaluation records nothing, so a forward recorded before it must still
+    # backpropagate into the parameters afterwards
+    model, bench = tiny_setup()
+    reset_tape()
+    loss = tensor_sum(source_only_forward(model, Tensor(bench.domains[0].train.images[:4])))
+    evaluate(model, bench)
+    loss.backward()
+    grad = model.params["gf.block1.weight"].grad
+    assert grad is not None and np.any(grad != 0.0)
+
+
+def test_split_rows_serve_the_benchmark_access_pattern():
+    # the per-row protocol perfbench's AUC oracle uses on every split
+    model, bench = tiny_setup()
+    for index, dataset in enumerate(bench.domains):
+        for split, labeled in ((dataset.train, index == 0), (dataset.test, True)):
+            assert len(split) == split.images.shape[0] > 0
+            for i in range(len(split)):
+                row = split[i]
+                assert row.image.shape == split.images.shape[1:]
+                if labeled:
+                    assert sorted(row.class_label.tolist()) == [0.0, 1.0]
+                else:
+                    assert row.class_label is None
+        classes = [np.argmax(s.class_label) for s in dataset.test]
+        assert classes == dataset.test.class_labels.argmax(axis=1).tolist()
+        probs = predict_probs(model, dataset.test)
+        assert probs.shape == (len(dataset.test), 2)

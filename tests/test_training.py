@@ -38,8 +38,7 @@ def tiny_benchmark(seed=7, n_train=10, n_test=8, image_size=16):
                    noise_std=0.08),
     ]
     domains = [
-        gen_synthetic_domain(spec, image_size, seed=seed + idx, domain_index=idx,
-                             num_domains=len(specs), labeled_train=(idx == 0))
+        gen_synthetic_domain(spec, image_size, seed=seed + idx, labeled_train=(idx == 0))
         for idx, spec in enumerate(specs)
     ]
     return Benchmark(domains=domains)
@@ -244,6 +243,31 @@ def test_checkpoint_with_ten_key_hp_block_loads_with_defaults(tmp_path):
     assert loaded.hp == HyperParams(epochs=1, batch_size=4, lr=0.02, seed=5)
     for p, t in state.model.params.items():
         assert np.array_equal(loaded.model.params[p].data, t.data), p
+
+
+@pytest.mark.parametrize("edit", [
+    lambda tail: tail["hp"].update(bogus=1),  # a key this version does not know
+    lambda tail: tail.pop("hp"),
+    lambda tail: tail.pop("step"),
+    lambda tail: tail.pop("history"),
+    lambda tail: tail["hp"].update(lr=-1.0),  # out of range
+    lambda tail: tail["hp"].update(class_loss="bogus"),
+    lambda tail: tail["hp"].update(epochs="two"),  # wrong type
+], ids=["unknown_hp_key", "no_hp", "no_step", "no_history", "bad_lr", "bad_choice",
+        "bad_type"])
+def test_checkpoint_with_bad_training_state_is_corrupt(tmp_path, edit):
+    from m2dan.cli import main
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained_state(), path)
+    raw = path.read_bytes()
+    cut = raw.index(b'{"history"')  # the JSON tail, keys sorted
+    tail = json.loads(raw[cut:])
+    edit(tail)
+    path.write_bytes(raw[:cut] + json.dumps(tail, sort_keys=True).encode("utf-8"))
+    with pytest.raises(CorruptFile):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synthetic-seed", "1"]) == 2
 
 
 def test_checkpoint_starts_with_magic_and_version(tmp_path):
