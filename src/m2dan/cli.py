@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +51,7 @@ from .training import (
     read_history_csv,
     save_checkpoint,
     train,
+    write_atomic,
     write_history_csv,
 )
 
@@ -180,11 +182,12 @@ def _csv_cell(cell) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_csv_cell(cell) for cell in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_csv_cell(cell) for cell in row])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def _worker_count() -> int:
@@ -227,14 +230,14 @@ def cmd_gen_data(args) -> int:
 
 def _train_artifacts(cfg: HyperParams, out: Path) -> MetricsReport:
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(echo_config(cfg), encoding="utf-8")
+    write_atomic(out / "config.txt", echo_config(cfg).encode("utf-8"))
     benchmark = _load_benchmark(cfg)
     state, report = run_training(cfg, benchmark)
     save_checkpoint(state, out / "model.ckpt")
     write_history_csv(state.history, benchmark.names, out / "history.csv")
     header, rows = read_history_csv(out / "history.csv")
-    (out / "curves.svg").write_text(render_curves(header, rows), encoding="utf-8")
-    (out / "metrics.json").write_text(report.to_json(), encoding="utf-8")
+    write_atomic(out / "curves.svg", render_curves(header, rows).encode("utf-8"))
+    write_atomic(out / "metrics.json", report.to_json().encode("utf-8"))
     return report
 
 
@@ -274,7 +277,7 @@ def _report_cells(report: MetricsReport, with_acc: bool) -> list:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.override)
-    out = Path(cfg.out_dir)
+    out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     benchmark = _load_benchmark(cfg)
     target_names = benchmark.names[1:]
@@ -317,7 +320,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.override)
-    out = Path(cfg.out_dir)
+    out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     benchmark = _load_benchmark(cfg)
     attr = _KEY_FIELDS[args.param][0]
@@ -339,7 +342,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_plot(args) -> int:
     header, rows = read_history_csv(Path(args.history))
-    Path(args.out).write_text(render_curves(header, rows), encoding="utf-8")
+    write_atomic(Path(args.out), render_curves(header, rows).encode("utf-8"))
     print(f"wrote {args.out}")
     return 0
 
@@ -390,12 +393,14 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None)
     p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--which", choices=("scales", "losses"), required=True)
+    p.add_argument("--out", default=None, help="output directory (default: out_dir)")
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("sweep", help="hyperparameter sweep over a fixed grid")
     p.add_argument("--config", default=None)
     p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--param", choices=("alpha", "eta", "lambda"), required=True)
+    p.add_argument("--out", default=None, help="output directory (default: out_dir)")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("plot", help="render training curves from a history CSV")

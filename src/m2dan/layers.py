@@ -1,8 +1,13 @@
 """Neural network layers as recorded tensor ops, plus parameter handling.
 
 Convolution is cross-correlation (no kernel flip) with zero padding that
-preserves spatial size, restricted to odd square kernels. The forward uses an
-im2col + matmul path; the backward reuses the cached patch matrix.
+preserves spatial size, restricted to odd square kernels, and stays NCHW
+throughout. `_im2col` unrolls each image's zero-padded k x k patches into a
+[C*k*k, H*W] matrix, so the forward is one GEMM per image whose output is
+already NCHW. The backward reuses that patch matrix for the weight gradient
+and computes the input gradient as a convolution too: a same-padded stride-1
+convolution's input gradient is the output gradient convolved with the
+flipped kernel, in and out channels swapped.
 """
 
 from __future__ import annotations
@@ -17,6 +22,21 @@ from .errors import InvalidShape, InvalidSpec, ShapeMismatch, UnsupportedKernel
 from .tensor import Tensor, record
 
 PARAM_GROUPS = ("gf", "gm", "gy", "gd")
+
+
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Zero-padded k x k patches of [N, C, H, W] as [N, C*k*k, H*W]: rows in
+    (C, k, k) order, one column per pixel."""
+    n, c, h, w = x.shape
+    if k == 1:  # a 1x1 patch is the pixel itself: no padding, no copy
+        return x.reshape(n, c, h * w)
+    p = (k - 1) // 2
+    xp = np.zeros((n, c, h + 2 * p, w + 2 * p))  # cheaper than np.pad
+    xp[:, :, p : p + h, p : p + w] = x
+    patches = sliding_window_view(xp, (k, k), axis=(2, 3))  # [N, C, H, W, k, k]
+    return np.ascontiguousarray(patches.transpose(0, 1, 4, 5, 2, 3)).reshape(
+        n, c * k * k, h * w
+    )
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -36,39 +56,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeMismatch(f"input has {cin} channels, weight expects {wcin}")
     if bias.shape != (cout,):
         raise ShapeMismatch(f"bias shape {bias.shape} does not match {cout} filters")
-    p = (k - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
-    # patch matrix in (k, k, Cin)-minor order: [N*H*W, k*k*Cin]; this keeps the
-    # channel runs contiguous in both the gather here and the fold in back()
-    patches = sliding_window_view(xp, (k, k), axis=(2, 3))
-    cols = np.ascontiguousarray(patches.transpose(0, 2, 3, 4, 5, 1)).reshape(
-        n * h * w, k * k * cin
-    )
-    wmat = np.ascontiguousarray(weight.data.transpose(2, 3, 1, 0)).reshape(
-        k * k * cin, cout
-    )
-    out = cols @ wmat
-    out += bias.data
-    out4 = np.ascontiguousarray(out.reshape(n, h, w, cout).transpose(0, 3, 1, 2))
+    cols = _im2col(x.data, k)
+    out = weight.data.reshape(cout, cin * k * k) @ cols  # [N, Cout, H*W]
+    out += bias.data[:, None]
     need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
 
     def back(g):
-        gm = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * h * w, cout)
-        g_bias = gm.sum(axis=0) if need_b else None
+        gm = g.reshape(n, cout, h * w)
+        g_bias = gm.sum(axis=(0, 2)) if need_b else None
         g_weight = None
-        if need_w:  # a strided view is fine: it is only accumulated with +=
-            g_weight = (cols.T @ gm).reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
+        if need_w:
+            g_weight = (gm @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, k, k)
         if not need_x:
             return None, g_weight, g_bias
-        gcols = (gm @ wmat.T).reshape(n, h, w, k, k, cin)
-        gxp = np.zeros((n, h + 2 * p, w + 2 * p, cin))
-        for di in range(k):
-            for dj in range(k):
-                gxp[:, di : di + h, dj : dj + w, :] += gcols[:, :, :, di, dj, :]
-        g_x = gxp[:, p : p + h, p : p + w, :].transpose(0, 3, 1, 2)
+        # weight.data is read here, after the forward: sgd_step only updates
+        # it in place once backward has finished
+        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+        g_x = (flipped @ _im2col(g.reshape(n, cout, h, w), k)).reshape(n, cin, h, w)
         return g_x, g_weight, g_bias
 
-    return record(out4, (x, weight, bias), back)
+    return record(out.reshape(n, cout, h, w), (x, weight, bias), back)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

@@ -95,7 +95,7 @@ class MetricsReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def predict_probs(model: ModelBundle, split, chunk: int = 128) -> np.ndarray:
+def predict_probs(model: ModelBundle, split, chunk: int = 32) -> np.ndarray:
     """Class probabilities for every row of a split, without recording
     gradients."""
     images = split.images

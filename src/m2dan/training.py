@@ -14,10 +14,13 @@ epoch history, so a checkpoint is self-describing.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
 import re
 import struct
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -116,6 +119,29 @@ def train(model: ModelBundle, benchmark: Benchmark, hp: HyperParams) -> TrainSta
     return state
 
 
+# ---------------------------------------------------------------- artifact files
+
+
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace path with data so that a reader, or a run killed mid-write,
+    sees the old file or the new one, never a partial one.
+
+    The bytes go to a temp file in the same directory, are flushed to disk,
+    and the temp file is then renamed over path.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------- history CSV
 
 
@@ -127,11 +153,12 @@ def history_columns(domain_names: Sequence[str]) -> list[str]:
 
 def write_history_csv(history: list[dict], domain_names: Sequence[str], path: Path) -> None:
     cols = history_columns(domain_names)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(cols)
-        for row in history:
-            writer.writerow([row["epoch"]] + [repr(float(row[c])) for c in cols[1:]])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(cols)
+    for row in history:
+        writer.writerow([row["epoch"]] + [repr(float(row[c])) for c in cols[1:]])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
 def read_history_csv(path: Path) -> tuple[list[str], list[dict]]:
@@ -184,7 +211,7 @@ def save_checkpoint(state: TrainState, path: Path) -> None:
     blob = _params_bytes(state.model.params) + json.dumps(
         tail, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 class _Reader:

@@ -275,6 +275,26 @@ def test_sweep_alpha_grid(tmp_path):
     assert len(rows) == 4
 
 
+def test_sweep_out_flag_overrides_out_dir(tmp_path):
+    cfg = write_config(tmp_path, epochs="1")
+    target = tmp_path / "elsewhere"
+    assert main(["sweep", "--config", str(cfg), "--param", "alpha",
+                 "--out", str(target)]) == 0
+    header, rows = read_csv(target / "sweep_alpha.csv")
+    assert header == ["value", "auc_target1", "auc_target2", "mean_auc"]
+    assert len(rows) == 4
+    assert not (tmp_path / "out").exists()
+
+
+def test_ablate_accepts_out_flag(tmp_path):
+    cfg = write_config(tmp_path, epochs="1")
+    target = tmp_path / "elsewhere"
+    assert main(["ablate", "--config", str(cfg), "--which", "scales",
+                 "--out", str(target)]) == 0
+    assert (target / "ablation_scales.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_grids_match_published_values():
     assert ALPHA_GRID == (0.0003, 0.003, 0.03, 0.3)
     assert ETA_GRID == (0.001, 0.01, 0.1, 1.0)

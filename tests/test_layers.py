@@ -66,24 +66,78 @@ def test_conv_rejects_even_kernel_and_bad_channels():
         L.conv2d(x, t(np.ones((2, 2, 3, 3))), t(np.zeros(1)))
 
 
+def naive_conv(x, w, b):
+    # independent oracle: direct loop cross-correlation over the padded input
+    n, _, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    out = np.zeros((n, cout, h, wd))
+    for i in range(n):
+        for co in range(cout):
+            for r in range(h):
+                for c in range(wd):
+                    out[i, co, r, c] = np.sum(xp[i, :, r : r + k, c : c + k] * w[co]) + b[co]
+    return out
+
+
+def naive_conv_grads(x, w, g):
+    # adjoint of naive_conv's loop: each output pixel scatters its gradient
+    # back onto the input window and the kernel that produced it
+    n, _, h, wd = x.shape
+    cout, _, k, _ = w.shape
+    p = (k - 1) // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for i in range(n):
+        for co in range(cout):
+            for r in range(h):
+                for c in range(wd):
+                    gxp[i, :, r : r + k, c : c + k] += g[i, co, r, c] * w[co]
+                    gw[co] += g[i, co, r, c] * xp[i, :, r : r + k, c : c + k]
+    return gxp[:, :, p : p + h, p : p + wd], gw, g.sum(axis=(0, 2, 3))
+
+
 def test_conv_matches_naive_loops():
-    # independent oracle: direct quadruple-loop cross-correlation
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 3, 5, 5))
     w = rng.normal(size=(4, 3, 3, 3))
     b = rng.normal(size=4)
-    p = 1
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    want = np.zeros((2, 4, 5, 5))
-    for n in range(2):
-        for co in range(4):
-            for i in range(5):
-                for j in range(5):
-                    want[n, co, i, j] = (
-                        np.sum(xp[n, :, i : i + 3, j : j + 3] * w[co]) + b[co]
-                    )
     got = L.conv2d(t(x), t(w), t(b)).data
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(got, naive_conv(x, w, b), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("cin,cout", [(4, 2), (2, 4)])
+@pytest.mark.parametrize("size", [1, 2, 5, 8])  # k=5 pads 2: wider than a 1x1 image
+def test_conv_forward_and_gradients_match_naive_loops(k, cin, cout, size):
+    rng = np.random.default_rng([k, cin, size])
+    x = Tensor(rng.normal(size=(3, cin, size, size)), requires_grad=True)
+    w = Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
+    b = Tensor(rng.normal(size=cout), requires_grad=True)
+    g = rng.normal(size=(3, cout, size, size))
+    out = L.conv2d(x, w, b)
+    assert np.allclose(out.data, naive_conv(x.data, w.data, b.data), atol=1e-12)
+    T.mul(out, T.constant(g)).sum().backward()
+    want_x, want_w, want_b = naive_conv_grads(x.data, w.data, g)
+    assert np.allclose(x.grad, want_x, atol=1e-12)
+    assert np.allclose(w.grad, want_w, atol=1e-12)
+    assert np.allclose(b.grad, want_b, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv_input_without_grad_still_trains_kernel(k):
+    # the first extractor conv sees images, which never require gradients
+    rng = np.random.default_rng(k)
+    x = t(rng.normal(size=(3, 1, 8, 8)))
+    w = Tensor(rng.normal(size=(4, 1, k, k)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    g = rng.normal(size=(3, 4, 8, 8))
+    T.mul(L.conv2d(x, w, b), T.constant(g)).sum().backward()
+    _, want_w, want_b = naive_conv_grads(x.data, w.data, g)
+    assert x.grad is None
+    assert np.allclose(w.grad, want_w, atol=1e-12)
+    assert np.allclose(b.grad, want_b, atol=1e-12)
 
 
 def test_conv_gradients_match_finite_differences():

@@ -169,3 +169,15 @@ def test_split_rows_serve_the_benchmark_access_pattern():
         assert classes == dataset.test.class_labels.argmax(axis=1).tolist()
         probs = predict_probs(model, dataset.test)
         assert probs.shape == (len(dataset.test), 2)
+
+
+def test_predict_probs_does_not_depend_on_chunk_size():
+    # 90 rows: not a multiple of any chunk, and more than one chunk of 32
+    model, bench = tiny_setup()
+    split = bench.domains[0].train
+    assert len(split) == 90
+    want = predict_probs(model, split, chunk=128)
+    for chunk in (1, 32):
+        got = predict_probs(model, split, chunk=chunk)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12), chunk

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -24,6 +25,7 @@ from m2dan.training import (
     save_checkpoint,
     sgd_step,
     train,
+    write_atomic,
     write_history_csv,
 )
 
@@ -196,6 +198,33 @@ def test_history_csv_rejects_malformed(tmp_path):
 def trained_state():
     bench = tiny_benchmark()
     return train(tiny_model(), bench, tiny_hp(epochs=1))
+
+
+def test_write_atomic_replaces_the_whole_file(tmp_path):
+    path = tmp_path / "artifact.bin"
+    write_atomic(path, b"old contents")
+    write_atomic(path, b"new")
+    assert path.read_bytes() == b"new"
+    assert os.listdir(tmp_path) == ["artifact.bin"]
+
+
+@pytest.mark.parametrize("failing", ["fsync", "replace"])
+def test_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch, failing):
+    state = trained_state()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(state, path)
+    before = path.read_bytes()
+    state.step += 1  # the new checkpoint would differ
+
+    def disk_full(*args):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(os, failing, disk_full)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(state, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["model.ckpt"]  # no partial temp file left
 
 
 def test_checkpoint_round_trip(tmp_path):
