@@ -2,12 +2,16 @@
 
 Convolution is cross-correlation (no kernel flip) with zero padding that
 preserves spatial size, restricted to odd square kernels, and stays NCHW
-throughout. `_im2col` unrolls each image's zero-padded k x k patches into a
-[C*k*k, H*W] matrix, so the forward is one GEMM per image whose output is
-already NCHW. The backward reuses that patch matrix for the weight gradient
-and computes the input gradient as a convolution too: a same-padded stride-1
-convolution's input gradient is the output gradient convolved with the
-flipped kernel, in and out channels swapped.
+throughout. It unrolls only one kernel dimension (MEC, Cho & Brand 2017,
+arXiv 1706.06873): `_row_taps` copies the k horizontal taps of the
+zero-padded image into a [C*k, (H+2p)*W] matrix per image, where column
+r*W + c is padded row r at output column c. Vertical tap i is then the
+column slice [i*W, i*W + H*W) of that matrix, a strided view that BLAS reads
+in place, so the forward is one GEMM per vertical tap, summed. The weight
+gradient of tap i is that slice's GEMM against the output gradient. The
+input gradient is a convolution too: a same-padded stride-1 convolution's
+input gradient is the output gradient convolved with the flipped kernel, in
+and out channels swapped, so it runs through the same tap GEMMs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidShape, InvalidSpec, ShapeMismatch, UnsupportedKernel
 from .tensor import Tensor, record
@@ -24,19 +27,48 @@ from .tensor import Tensor, record
 PARAM_GROUPS = ("gf", "gm", "gy", "gd")
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Zero-padded k x k patches of [N, C, H, W] as [N, C*k*k, H*W]: rows in
-    (C, k, k) order, one column per pixel."""
+# the tap GEMMs accumulate this many output values at a time (128 KB of
+# float64), so each tap's product is added while it is still in cache
+_BLOCK_VALUES = 16384
+
+
+def _row_taps(x: np.ndarray, k: int) -> np.ndarray:
+    """The k horizontal taps of [N, C, H, W], zero-padded by p = (k-1)//2, as
+    [N, C*k, (H+2p)*W]: rows in (C, j) order, column r*W + c is padded row r
+    at output column c, i.e. x[r - p, c + j - p] or 0 outside the image."""
     n, c, h, w = x.shape
-    if k == 1:  # a 1x1 patch is the pixel itself: no padding, no copy
+    if k == 1:  # the only tap is the pixel itself: no padding, no copy
         return x.reshape(n, c, h * w)
     p = (k - 1) // 2
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p))  # cheaper than np.pad
-    xp[:, :, p : p + h, p : p + w] = x
-    patches = sliding_window_view(xp, (k, k), axis=(2, 3))  # [N, C, H, W, k, k]
-    return np.ascontiguousarray(patches.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        n, c * k * k, h * w
-    )
+    taps = np.zeros((n, c, k, h + 2 * p, w))
+    for j in range(k):
+        # output columns whose tap j lands inside the image; the rest stay 0
+        lo, hi = max(0, p - j), min(w, w + p - j)
+        if lo < hi:
+            taps[:, :, j, p : p + h, lo:hi] = x[:, :, :, lo + j - p : hi + j - p]
+    return taps.reshape(n, c * k, (h + 2 * p) * w)
+
+
+def _tap_gemms(kernel: np.ndarray, taps: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Same-padded cross-correlation of the images behind `taps` (from
+    `_row_taps`) with kernel [Cout, Cin, k, k], as [N, Cout, H*W]: the sum over
+    vertical taps i of kernel[:, :, i, :] @ taps[:, :, i*W : i*W + H*W]."""
+    cout, cin, k, _ = kernel.shape
+    n, hw = taps.shape[0], h * w
+    rows = [kernel[:, :, i, :].reshape(cout, cin * k) for i in range(k)]
+    if k == 1:  # one tap, nothing to accumulate: one GEMM per image
+        return rows[0] @ taps
+    out = np.empty((n, cout, hw))
+    block = max(1, _BLOCK_VALUES // (cout * hw))  # images per accumulation
+    tmp = np.empty((min(block, n), cout, hw))
+    for a in range(0, n, block):
+        acc, t = out[a : a + block], taps[a : a + block]
+        np.matmul(rows[0], t[:, :, :hw], out=acc)
+        for i in range(1, k):
+            prod = tmp[: len(acc)]
+            np.matmul(rows[i], t[:, :, i * w : i * w + hw], out=prod)
+            acc += prod
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -56,8 +88,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeMismatch(f"input has {cin} channels, weight expects {wcin}")
     if bias.shape != (cout,):
         raise ShapeMismatch(f"bias shape {bias.shape} does not match {cout} filters")
-    cols = _im2col(x.data, k)
-    out = weight.data.reshape(cout, cin * k * k) @ cols  # [N, Cout, H*W]
+    taps = _row_taps(x.data, k)
+    out = _tap_gemms(weight.data, taps, h, w)  # [N, Cout, H*W]
     out += bias.data[:, None]
     need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
 
@@ -66,14 +98,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         g_bias = gm.sum(axis=(0, 2)) if need_b else None
         g_weight = None
         if need_w:
-            g_weight = (gm @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, k, k)
+            g_weight = np.empty((cout, cin, k, k))
+            for i in range(k):
+                tap = taps[:, :, i * w : i * w + h * w].transpose(0, 2, 1)
+                g_weight[:, :, i, :] = (gm @ tap).sum(axis=0).reshape(cout, cin, k)
         if not need_x:
             return None, g_weight, g_bias
         # weight.data is read here, after the forward: sgd_step only updates
         # it in place once backward has finished
-        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
-        g_x = (flipped @ _im2col(g.reshape(n, cout, h, w), k)).reshape(n, cin, h, w)
-        return g_x, g_weight, g_bias
+        flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # [Cin, Cout, k, k]
+        g_x = _tap_gemms(flipped, _row_taps(g.reshape(n, cout, h, w), k), h, w)
+        return g_x.reshape(n, cin, h, w), g_weight, g_bias
 
     return record(out.reshape(n, cout, h, w), (x, weight, bias), back)
 
@@ -108,18 +143,14 @@ def avg_pool2(x: Tensor) -> Tensor:
     """2x2 average downsampling with stride 2; spatial dims must be even."""
     if x.data.ndim != 4:
         raise ShapeMismatch(f"avg_pool2 needs rank 4, got {x.shape}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise InvalidShape(f"avg_pool2 needs even spatial dims, got {h}x{w}")
     xd = x.data
     out = 0.25 * (xd[:, :, ::2, ::2] + xd[:, :, ::2, 1::2]
                   + xd[:, :, 1::2, ::2] + xd[:, :, 1::2, 1::2])
-
-    def back(g):
-        spread = np.broadcast_to((g * 0.25)[:, :, :, None, :, None],
-                                 (n, c, h // 2, 2, w // 2, 2))
-        return (spread.reshape(n, c, h, w),)
-
+    # columns first: the row repeat then copies whole rows
+    back = lambda g: ((g * 0.25).repeat(2, axis=3).repeat(2, axis=2),)
     return record(out, (x,), back)
 
 

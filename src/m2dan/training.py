@@ -282,7 +282,10 @@ def load_checkpoint(path: Path, model_spec: dict | None = None) -> TrainState:
         raise CorruptFile(f"{path}: training state lacks a model spec")
     if model_spec is not None and model_spec != embedded_spec:
         raise SpecMismatch(f"{path}: checkpoint model spec differs from the requested one")
-    model = model_from_spec_dict(embedded_spec, seed=0)
+    try:
+        model = model_from_spec_dict(embedded_spec, seed=0)
+    except (KeyError, TypeError, ValueError, InvalidSpec) as e:
+        raise CorruptFile(f"{path}: bad model spec: {e!r}") from e
     expected = model.params.paths()
     if sorted(params) != expected:
         raise SpecMismatch(

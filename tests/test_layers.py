@@ -107,15 +107,12 @@ def test_conv_matches_naive_loops():
     assert np.allclose(got, naive_conv(x, w, b), atol=1e-12)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-@pytest.mark.parametrize("cin,cout", [(4, 2), (2, 4)])
-@pytest.mark.parametrize("size", [1, 2, 5, 8])  # k=5 pads 2: wider than a 1x1 image
-def test_conv_forward_and_gradients_match_naive_loops(k, cin, cout, size):
-    rng = np.random.default_rng([k, cin, size])
-    x = Tensor(rng.normal(size=(3, cin, size, size)), requires_grad=True)
+def check_conv_against_naive_loops(k, cin, cout, h, wd, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(3, cin, h, wd)), requires_grad=True)
     w = Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
     b = Tensor(rng.normal(size=cout), requires_grad=True)
-    g = rng.normal(size=(3, cout, size, size))
+    g = rng.normal(size=(3, cout, h, wd))
     out = L.conv2d(x, w, b)
     assert np.allclose(out.data, naive_conv(x.data, w.data, b.data), atol=1e-12)
     T.mul(out, T.constant(g)).sum().backward()
@@ -123,6 +120,27 @@ def test_conv_forward_and_gradients_match_naive_loops(k, cin, cout, size):
     assert np.allclose(x.grad, want_x, atol=1e-12)
     assert np.allclose(w.grad, want_w, atol=1e-12)
     assert np.allclose(b.grad, want_b, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("cin,cout", [(4, 2), (2, 4)])
+@pytest.mark.parametrize("size", [1, 2, 5, 8])  # k=5 pads 2: wider than a 1x1 image
+def test_conv_forward_and_gradients_match_naive_loops(k, cin, cout, size):
+    check_conv_against_naive_loops(k, cin, cout, size, size, seed=[k, cin, size])
+
+
+# a tap's column offset depends on the image width, so height and width must
+# not be interchangeable; k=7 pads 3, more than the width of the narrow shapes
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+@pytest.mark.parametrize("h,wd", [(3, 7), (6, 2), (1, 4), (5, 1), (2, 9)])
+def test_conv_on_non_square_images_matches_naive_loops(k, h, wd):
+    check_conv_against_naive_loops(k, 3, 2, h, wd, seed=[k, h, wd])
+
+
+def test_conv_1x1_taps_are_the_input_itself():
+    # a 1x1 kernel needs no unrolling: its only tap is a view of the input
+    x = np.random.default_rng(2).normal(size=(2, 3, 4, 5))
+    assert np.shares_memory(L._row_taps(x, 1), x)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -226,6 +244,13 @@ def test_avg_pool2_gradient():
     x = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
     wgt = T.constant(rng.normal(size=(2, 2, 2, 2)))
     assert T.grad_check(lambda v: T.mul(L.avg_pool2(v), wgt).sum(), x).passed
+
+
+def test_avg_pool2_backward_spreads_a_quarter_exactly():
+    g = np.random.default_rng(6).normal(size=(2, 3, 4, 6))
+    L.avg_pool2(Tensor(np.zeros((2, 3, 8, 12)), requires_grad=True))
+    (g_x,) = T.active_tape().ops[-1].backward_fn(g)
+    assert np.array_equal(g_x, np.kron(g, np.ones((2, 2))) * 0.25)
 
 
 # ---------------------------------------------------------------- GRL

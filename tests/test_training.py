@@ -8,6 +8,7 @@ import pytest
 from m2dan.data import Benchmark, DomainSpec, gen_synthetic_domain
 from m2dan.errors import (
     CorruptFile,
+    M2danError,
     MalformedCsv,
     MissingGradient,
     NumericError,
@@ -297,6 +298,41 @@ def test_checkpoint_with_bad_training_state_is_corrupt(tmp_path, edit):
     with pytest.raises(CorruptFile):
         load_checkpoint(path)
     assert main(["eval", "--checkpoint", str(path), "--synthetic-seed", "1"]) == 2
+
+
+def test_checkpoint_with_corrupt_model_spec_is_corrupt(tmp_path):
+    from m2dan.cli import main
+
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(trained_state(), path)
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b'"arch"') + 1] ^= 0x01  # "arch" -> "`rch": the spec lacks its key
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CorruptFile):
+        load_checkpoint(path)
+    assert main(["eval", "--checkpoint", str(path), "--synthetic-seed", "1"]) == 2
+
+
+def test_checkpoint_truncations_and_byte_flips_raise_only_package_errors(tmp_path):
+    # v1 has no checksum, so a flip inside a float payload may still load;
+    # anything that does not load must fail with the package's own errors
+    model = build_model(ScaleSpec(kernel_sizes=(1,), branch_channels=1),
+                        ExtractorArch(channels=(1,), head_widths=(1, 1)), num_domains=2, seed=0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(TrainState(model=model, hp=HyperParams(), step=0, history=[]), path)
+    raw = path.read_bytes()
+    variants = [raw[:cut] for cut in range(len(raw))]
+    for pos in range(len(raw)):
+        for mask in (0x01, 0x80, 0xFF):
+            flipped = bytearray(raw)
+            flipped[pos] ^= mask
+            variants.append(bytes(flipped))
+    for blob in variants:
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except M2danError:
+            pass
 
 
 def test_checkpoint_starts_with_magic_and_version(tmp_path):
