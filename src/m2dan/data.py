@@ -9,7 +9,28 @@ nearest upsample), additive Gaussian noise, salt-and-pepper. Final images are
 quantized to the 1/255 grid so the 8-bit PGM export round-trips bit-exactly.
 
 Every sample's randomness derives from (seed, sample index), so generation is
-order-independent and bit-reproducible.
+order-independent and bit-reproducible. Sample i of a domain draws from its own
+default_rng([seed, i]), in this order: the opening angle, the bisector, the
+apex x and y, the ray intensity and the interior fill, then its noise array,
+then its salt-and-pepper hit and salt arrays.
+
+Images are rendered in blocks of B = max(1, _RENDER_BLOCK_VALUES // (H * W))
+over [B, H, W] arrays (3 images at 64 px), with each image's scalars as a
+[B, 1, 1] column and scratch arrays made once per generation call. A block
+gives the same bytes as rendering its images one at a time (the tests pin
+them by sha256 and compare them with a one-image reference renderer):
+elementwise ufuncs round each element alone, arctan2 and hypot run on
+contiguous arrays as before, and each ray's cos and sin come from `math` per
+image. Three shortcuts are exact as well:
+- the pixel grid is built once per image size;
+- the direction from the apex is not wrapped into [-pi, pi): with
+  |bisector| <= 12 degrees the wrap moves only values whose magnitude stays
+  above pi - 0.21, far outside any half opening (<= 27.5 degrees), and the
+  others go through the same +pi, -pi round trip;
+- a ray's distance (np.hypot) is computed only where the pixel's distance to
+  the ray's line, |py dx - px dy|, is below 2: elsewhere the distance is at
+  least 1.5, so the ray covers nothing and the pixel, never below the
+  background, keeps its value.
 
 Each domain split is a `Split`: an image array [N, 1, H, W] plus one-hot class
 labels [N, 2], or None when the split is unlabeled (a target domain's train
@@ -29,6 +50,7 @@ import numpy as np
 
 from .errors import (
     EmptyClassDir,
+    EmptyInput,
     IndivisibleBatch,
     InvalidSpec,
     MalformedPgm,
@@ -121,46 +143,6 @@ class Benchmark:
 # ---------------------------------------------------------------- rendering
 
 
-def _render_wedge(rng: np.random.Generator, size: int, narrow: bool) -> np.ndarray:
-    lo, hi = NARROW_ANGLE_DEG if narrow else OPEN_ANGLE_DEG
-    opening = math.radians(rng.uniform(lo, hi))
-    bisector = math.radians(rng.uniform(-12.0, 12.0))
-    apex_x = 0.28 * size + rng.uniform(-2.0, 2.0)
-    apex_y = 0.50 * size + rng.uniform(-3.0, 3.0)
-    fg = rng.uniform(0.85, 1.0)
-    bg = 0.05
-    # wedge interior: a solid region whose area grows with the opening angle;
-    # its intensity varies per image so absolute brightness carries no class
-    # information and the silhouette is what identifies the class
-    fill = rng.uniform(*FILL_RANGE)
-    length = 1.5 * size  # rays always reach the border
-
-    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-    px, py = xs - apex_x, ys - apex_y
-    # interior of the wedge: points whose direction from the apex lies
-    # between the two rays
-    diff = np.arctan2(py, px) - bisector
-    diff = np.mod(diff + math.pi, 2.0 * math.pi) - math.pi
-    img = np.where(np.abs(diff) <= opening / 2.0, fill, bg)
-    for sign in (-1.0, 1.0):
-        ang = bisector + sign * opening / 2.0
-        dx, dy = math.cos(ang), math.sin(ang)
-        t = np.clip(px * dx + py * dy, 0.0, length)
-        dist = np.hypot(px - t * dx, py - t * dy)
-        cover = np.clip(1.5 - dist, 0.0, 1.0)  # ~2 px thick, 1 px soft edge
-        img = np.maximum(img, bg + (fg - bg) * cover)
-    return img
-
-
-def _box_blur3(img: np.ndarray) -> np.ndarray:
-    padded = np.pad(img, 1, mode="edge")
-    out = np.zeros_like(img)
-    for di in range(3):
-        for dj in range(3):
-            out += padded[di : di + img.shape[0], dj : dj + img.shape[1]]
-    return out / 9.0
-
-
 def _area_downsample_axis(img: np.ndarray, new_len: int, axis: int) -> np.ndarray:
     old_len = img.shape[axis]
     bounds = (np.arange(new_len + 1) * old_len) // new_len
@@ -188,27 +170,125 @@ def resize_image(img: np.ndarray, height: int, width: int) -> np.ndarray:
     return out
 
 
-def _degrade_resolution(img: np.ndarray, scale: float) -> np.ndarray:
-    size_h = max(1, round(img.shape[0] * scale))
-    size_w = max(1, round(img.shape[1] * scale))
-    small = _area_downsample_axis(_area_downsample_axis(img, size_h, 0), size_w, 1)
-    return _nearest_upsample_axis(_nearest_upsample_axis(small, img.shape[0], 0), img.shape[1], 1)
+# values in one [B, H, W] scratch array: 96 KiB of float64, under glibc's
+# 128 KiB mmap threshold, so the scratch lives on the heap and rendering
+# neither faults in fresh pages nor moves the threshold (3 images at 64 px)
+_RENDER_BLOCK_VALUES = 12288
 
 
-def _apply_domain_shift(img: np.ndarray, spec: DomainSpec, rng: np.random.Generator) -> np.ndarray:
+class _Canvas:
+    """The pixel grid and the scratch arrays for rendering blocks of
+    image_size x image_size images, made once per generation call."""
+
+    def __init__(self, image_size: int):
+        self.size = image_size
+        self.block = max(1, _RENDER_BLOCK_VALUES // image_size**2)
+        self.ys, self.xs = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
+        shape = (self.block, image_size, image_size)
+        self.px, self.py, self.img, self.t, self.tmp = (np.empty(shape) for _ in range(5))
+        self.padded = np.empty((self.block, image_size + 2, image_size + 2))
+
+
+def _render_block(canvas: _Canvas, spec: DomainSpec, seed: int, first: int,
+                  narrow: Sequence[bool], out: np.ndarray) -> None:
+    """Render samples first .. first + b - 1 of one domain into out [b, H, W];
+    sample first + i draws from default_rng([seed, first + i]) and is narrow
+    when narrow[i] is true."""
+    b, size = len(narrow), canvas.size
+    bg = 0.05
+    length = 1.5 * size  # rays always reach the border
+    rngs, params = [], []
+    for i in range(b):
+        rng = np.random.default_rng([seed, first + i])
+        lo, hi = NARROW_ANGLE_DEG if narrow[i] else OPEN_ANGLE_DEG
+        opening = math.radians(rng.uniform(lo, hi))
+        bisector = math.radians(rng.uniform(-12.0, 12.0))
+        apex_x = 0.28 * size + rng.uniform(-2.0, 2.0)
+        apex_y = 0.50 * size + rng.uniform(-3.0, 3.0)
+        fg = rng.uniform(0.85, 1.0)
+        # wedge interior: a solid region whose area grows with the opening
+        # angle; its intensity varies per image so absolute brightness
+        # carries no class information and the silhouette is what
+        # identifies the class
+        fill = rng.uniform(*FILL_RANGE)
+        rays = []
+        for sign in (-1.0, 1.0):
+            ang = bisector + sign * opening / 2.0
+            rays += [math.cos(ang), math.sin(ang)]
+        rngs.append(rng)
+        params.append([opening / 2.0, bisector, apex_x, apex_y, fill, fg - bg, *rays])
+    values = np.array(params).T  # one row of b values per parameter
+    half, bisector, apex_x, apex_y, fill = values[:5, :, None, None]  # [b, 1, 1] columns
+    gain, rays = values[5], values[6:].reshape(2, 2, b)
+    px, py, img, t, tmp = canvas.px[:b], canvas.py[:b], canvas.img[:b], canvas.t[:b], canvas.tmp[:b]
+    np.subtract(canvas.xs, apex_x, out=px)
+    np.subtract(canvas.ys, apex_y, out=py)
+    # interior of the wedge: points whose direction from the apex lies within
+    # half the opening of the bisector. The angle is not wrapped into
+    # [-pi, pi): with |bisector| <= 12 degrees a wrap changes only values
+    # whose magnitude stays above pi - 0.21, far outside any half opening
+    # (<= 27.5 degrees); the +pi, -pi round trip rounds the others as the
+    # wrapped form does
+    np.arctan2(py, px, out=tmp)
+    tmp -= bisector
+    tmp += math.pi
+    tmp -= math.pi
+    np.abs(tmp, out=tmp)
+    img.fill(bg)
+    np.copyto(img, fill, where=tmp <= half)
+    # each ray's distance to a pixel is at least its distance to the ray's
+    # line, |py dx - px dy|; where that is >= 2 the ray's cover is 0 and img
+    # (always >= bg) keeps its value, so only the pixels nearer the line go
+    # through the exact distance below
+    flat, flat_px, flat_py = img.reshape(-1), px.reshape(-1), py.reshape(-1)
+    for dx, dy in rays:
+        np.multiply(py, dx[:, None, None], out=t)
+        np.multiply(px, dy[:, None, None], out=tmp)
+        t -= tmp
+        np.abs(t, out=t)
+        near = np.flatnonzero(t < 2.0)
+        x, y, which = flat_px[near], flat_py[near], near // size**2
+        ux, uy = dx[which], dy[which]
+        along = np.clip(x * ux + y * uy, 0.0, length)
+        dist = np.hypot(x - along * ux, y - along * uy)
+        cover = np.clip(1.5 - dist, 0.0, 1.0)  # ~2 px thick, 1 px soft edge
+        flat[near] = np.maximum(flat[near], bg + gain[which] * cover)
+
+    # domain shift, in a fixed order
     if spec.contrast != 1.0:
-        img = np.clip(spec.contrast * img, 0.0, 1.0)
-    for _ in range(spec.blur_radius):
-        img = _box_blur3(img)
-    if spec.resolution_scale < 1.0:
-        img = _degrade_resolution(img, spec.resolution_scale)
+        np.multiply(img, spec.contrast, out=img)
+        np.clip(img, 0.0, 1.0, out=img)
+    for _ in range(spec.blur_radius):  # 3x3 box blur, edge padded, taps summed in row order
+        pad = canvas.padded[:b]
+        pad[:, 1:-1, 1:-1] = img
+        pad[:, 0, 1:-1], pad[:, -1, 1:-1] = img[:, 0], img[:, -1]
+        pad[:, :, 0], pad[:, :, -1] = pad[:, :, 1], pad[:, :, -2]
+        img[...] = pad[:, :size, :size]
+        for di in range(3):
+            for dj in range(3):
+                if di or dj:
+                    img += pad[:, di : di + size, dj : dj + size]
+        img /= 9.0
+    if spec.resolution_scale < 1.0:  # average downsample, nearest upsample
+        small_len = max(1, round(size * spec.resolution_scale))
+        small = _area_downsample_axis(_area_downsample_axis(img, small_len, 1), small_len, 2)
+        img[...] = _nearest_upsample_axis(_nearest_upsample_axis(small, size, 1), size, 2)
+    # per-image draws follow each sample's wedge parameters: the noise
+    # array, then the salt-and-pepper hit and salt arrays
     if spec.noise_std > 0.0:
-        img = np.clip(img + rng.normal(0.0, spec.noise_std, img.shape), 0.0, 1.0)
+        for i, rng in enumerate(rngs):
+            tmp[i] = rng.normal(0.0, spec.noise_std, (size, size))
+        img += tmp
+        np.clip(img, 0.0, 1.0, out=img)
     if spec.salt_pepper_frac > 0.0:
-        hit = rng.random(img.shape) < spec.salt_pepper_frac
-        salt = rng.random(img.shape) < 0.5
-        img = np.where(hit, np.where(salt, 1.0, 0.0), img)
-    return np.round(img * 255.0) / 255.0
+        for i, rng in enumerate(rngs):
+            rng.random(out=tmp[i])
+            rng.random(out=t[i])
+        # a hit pixel turns white (salt) or black (pepper)
+        np.copyto(img, t < 0.5, where=tmp < spec.salt_pepper_frac)
+    img *= 255.0
+    np.round(img, out=img)
+    np.divide(img, 255.0, out=out)
 
 
 def narrow_count(narrow_frac: float, n: int) -> int:
@@ -217,17 +297,17 @@ def narrow_count(narrow_frac: float, n: int) -> int:
 
 
 def _render_split(spec: DomainSpec, seed: int, first: int, narrow_frac: float,
-                  labeled: bool, images: np.ndarray) -> Split:
+                  labeled: bool, images: np.ndarray, canvas: _Canvas) -> Split:
     """Render samples first .. first + n - 1 of one domain into images
-    ([n, 1, H, W]); sample i draws all of its randomness from
-    default_rng([seed, i]) and the first narrow_count(narrow_frac, n) of them
-    are narrow."""
-    n, image_size = images.shape[0], images.shape[-1]
+    ([n, 1, H, W]), canvas.block at a time; sample i draws all of its
+    randomness from default_rng([seed, i]) and the first
+    narrow_count(narrow_frac, n) of them are narrow."""
+    n = images.shape[0]
     n_narrow = narrow_count(narrow_frac, n)
-    for i in range(n):
-        rng = np.random.default_rng([seed, first + i])
-        img = _render_wedge(rng, image_size, i < n_narrow)
-        images[i, 0] = _apply_domain_shift(img, spec, rng)
+    for start in range(0, n, canvas.block):
+        stop = min(n, start + canvas.block)
+        _render_block(canvas, spec, seed, first + start,
+                      [i < n_narrow for i in range(start, stop)], images[start:stop, 0])
     labels = None
     if labeled:
         labels = np.zeros((n, 2))
@@ -243,11 +323,12 @@ def gen_synthetic_domain(spec: DomainSpec, image_size: int, seed: int, *,
     Sample i (train indices first, then test) draws all of its randomness
     from default_rng([seed, i]); class counts follow narrow_frac exactly.
     """
+    canvas = _Canvas(image_size)
     images = np.empty((spec.n_train + spec.n_test, 1, image_size, image_size))
     train = _render_split(spec, seed, 0, spec.narrow_frac, labeled_train,
-                          images[: spec.n_train])
+                          images[: spec.n_train], canvas)
     test = _render_split(spec, seed, spec.n_train, spec.narrow_frac, True,
-                         images[spec.n_train :])
+                         images[spec.n_train :], canvas)
     return DomainDataset(name=spec.name, train=train, test=test)
 
 
@@ -301,17 +382,18 @@ def make_benchmark(seed: int, scale_fraction: float = DEFAULT_FRACTION,
     # arrays raises glibc's dynamic mmap threshold, which then keeps later
     # evaluation buffers on the heap and raises the peak RSS
     images = np.empty((sum(s.n_train + s.n_test for s in specs), 1, image_size, image_size))
+    canvas = _Canvas(image_size)
     domains, end = [], 0
     for idx, spec in enumerate(specs):
         (_, _), (te_narrow, te_total) = _FULL_COUNTS[spec.name]
         domain_seed = seed + idx * 1_000_003
         start, mid, end = end, end + spec.n_train, end + spec.n_train + spec.n_test
         train = _render_split(spec, domain_seed, 0, spec.narrow_frac, idx == 0,
-                              images[start:mid])
+                              images[start:mid], canvas)
         # the test split's class ratio comes from the test-side counts, which
         # differ slightly from the train ratio in every domain
         test = _render_split(spec, domain_seed, spec.n_train, te_narrow / te_total, True,
-                             images[mid:end])
+                             images[mid:end], canvas)
         domains.append(DomainDataset(name=spec.name, train=train, test=test))
     return Benchmark(domains=domains)
 
@@ -366,6 +448,9 @@ def epoch_batches(benchmark: Benchmark, batch_size: int, seed: int,
     per = batch_size // len(idxs)
     rng = np.random.default_rng([seed, epoch])
     splits = [benchmark.domains[d].train for d in idxs]
+    for d, split in zip(idxs, splits):
+        if len(split) == 0:
+            raise EmptyInput(f"domain {benchmark.domains[d].name} has an empty train split")
     streams = [_DomainStream(len(split), rng) for split in splits]
     # every batch has the same layout: per rows of each domain, in idxs order;
     # the class loss sees the rows of domain 0 when its train split is labeled

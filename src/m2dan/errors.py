@@ -46,7 +46,7 @@ class MissingGradient(M2danError):
 
 
 class EmptyInput(M2danError):
-    """A metric received zero samples."""
+    """A metric or a batch stream received zero samples."""
 
 
 class DegenerateLabels(M2danError):

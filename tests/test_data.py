@@ -1,6 +1,7 @@
 """Synthetic data generation, batching, and PGM round-trips."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from m2dan.data import (
 )
 from m2dan.errors import (
     EmptyClassDir,
+    EmptyInput,
     IndivisibleBatch,
     InvalidSpec,
     MalformedPgm,
@@ -97,6 +99,66 @@ def test_shift_pipeline_changes_images():
         assert shifted.min() >= 0.0 and shifted.max() <= 1.0
 
 
+def _reference_image(spec, size, seed, index, narrow):
+    """Sample `index` rendered alone, one image at a time, as the renderer did
+    before it rendered blocks: the reference the block renderer must match
+    byte for byte."""
+    rng = np.random.default_rng([seed, index])
+    lo, hi = data_mod.NARROW_ANGLE_DEG if narrow else data_mod.OPEN_ANGLE_DEG
+    opening = math.radians(rng.uniform(lo, hi))
+    bisector = math.radians(rng.uniform(-12.0, 12.0))
+    apex_x = 0.28 * size + rng.uniform(-2.0, 2.0)
+    apex_y = 0.50 * size + rng.uniform(-3.0, 3.0)
+    fg, bg = rng.uniform(0.85, 1.0), 0.05
+    fill = rng.uniform(*data_mod.FILL_RANGE)
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
+    px, py = xs - apex_x, ys - apex_y
+    diff = np.arctan2(py, px) - bisector
+    diff = np.mod(diff + math.pi, 2.0 * math.pi) - math.pi
+    img = np.where(np.abs(diff) <= opening / 2.0, fill, bg)
+    for sign in (-1.0, 1.0):
+        ang = bisector + sign * opening / 2.0
+        dx, dy = math.cos(ang), math.sin(ang)
+        t = np.clip(px * dx + py * dy, 0.0, 1.5 * size)
+        dist = np.hypot(px - t * dx, py - t * dy)
+        img = np.maximum(img, bg + (fg - bg) * np.clip(1.5 - dist, 0.0, 1.0))
+    if spec.contrast != 1.0:
+        img = np.clip(spec.contrast * img, 0.0, 1.0)
+    for _ in range(spec.blur_radius):
+        padded = np.pad(img, 1, mode="edge")
+        out = np.zeros_like(img)
+        for di in range(3):
+            for dj in range(3):
+                out += padded[di : di + size, dj : dj + size]
+        img = out / 9.0
+    if spec.resolution_scale < 1.0:
+        small = max(1, round(size * spec.resolution_scale))
+        img = resize_image(resize_image(img, small, small), size, size)
+    if spec.noise_std > 0.0:
+        img = np.clip(img + rng.normal(0.0, spec.noise_std, img.shape), 0.0, 1.0)
+    if spec.salt_pepper_frac > 0.0:
+        hit = rng.random(img.shape) < spec.salt_pepper_frac
+        salt = rng.random(img.shape) < 0.5
+        img = np.where(hit, np.where(salt, 1.0, 0.0), img)
+    return np.round(img * 255.0) / 255.0
+
+
+@pytest.mark.parametrize("size", [5, 40, 64, 120])
+def test_block_rendering_matches_one_image_reference(size):
+    # at 5 px each split is one block, at 120 px each image is its own block
+    specs = [clean_spec(7, 4, 0.4),
+             clean_spec(7, 4, 0.4, contrast=1.6, blur_radius=2),
+             clean_spec(7, 4, 0.4, contrast=0.8, blur_radius=1, resolution_scale=0.11,
+                        noise_std=0.05, salt_pepper_frac=0.2)]
+    for spec in specs:
+        ds = gen_synthetic_domain(spec, size, seed=size)
+        for split, first in ((ds.train, 0), (ds.test, spec.n_train)):
+            narrow = narrow_count(spec.narrow_frac, len(split))
+            for i, image in enumerate(split.images):
+                ref = _reference_image(spec, size, size, first + i, i < narrow)
+                assert np.array_equal(image[0], ref), (spec, first + i)
+
+
 # ---------------------------------------------------------------- benchmark
 
 
@@ -135,24 +197,22 @@ def test_benchmark_deterministic_in_seed():
 
 
 def test_benchmark_renders_each_sample_once(monkeypatch):
-    calls = []
-    real = data_mod._render_wedge
+    rendered = []
+    real = data_mod._render_block
 
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
+    def counting(canvas, spec, seed, first, narrow, out):
+        assert len(narrow) == len(out) <= canvas.block
+        rendered.extend((seed, first + i) for i in range(len(out)))
+        return real(canvas, spec, seed, first, narrow, out)
 
-    monkeypatch.setattr(data_mod, "_render_wedge", counting)
+    monkeypatch.setattr(data_mod, "_render_block", counting)
     bench = make_benchmark(seed=1, scale_fraction=0.01, image_size=16)
-    assert len(calls) == sum(len(d.train) + len(d.test) for d in bench.domains)
+    assert len(rendered) == len(set(rendered))
+    assert len(rendered) == sum(len(d.train) + len(d.test) for d in bench.domains)
 
 
-def test_benchmark_bytes_are_pinned():
-    # sha256 of make_benchmark(7, 0.01, 32) (images, class labels, domain
-    # labels), recorded when each domain was still rendered twice: rendering
-    # each sample once must not change a byte
+def _benchmark_sha256(bench):
     h = hashlib.sha256()
-    bench = make_benchmark(7, 0.01, 32)
     for index, d in enumerate(bench.domains):
         domain_label = np.eye(bench.num_domains)[index]
         for split in (d.train, d.test):
@@ -160,7 +220,42 @@ def test_benchmark_bytes_are_pinned():
                 h.update(s.image.tobytes())
                 h.update(b"none" if s.class_label is None else s.class_label.tobytes())
                 h.update(domain_label.tobytes())
-    assert h.hexdigest() == "2cae99749ade5b0a04b52f6463845c96f9dacf0c2ba186522a85b9cb8a95991f"
+    return h.hexdigest()
+
+
+def test_benchmark_bytes_are_pinned():
+    # sha256 of make_benchmark(7, 0.01, 32) (images, class labels, domain
+    # labels), recorded when each domain was still rendered twice: rendering
+    # each sample once must not change a byte
+    assert (_benchmark_sha256(make_benchmark(7, 0.01, 32))
+            == "2cae99749ade5b0a04b52f6463845c96f9dacf0c2ba186522a85b9cb8a95991f")
+
+
+def test_benchmark_bytes_are_pinned_at_default_size():
+    # recorded with the one-image-at-a-time renderer; at 64 px a render block
+    # is 3 images, so the 22-image source test split (8 narrow) ends on a
+    # partial block and switches class inside one
+    assert (_benchmark_sha256(make_benchmark(7, 0.01, 64))
+            == "34059b7e1637a980bfc18acdd36019ff687ed64825c7f18c57e4c5ce0d41ad75")
+
+
+def test_corrupted_domain_bytes_are_pinned():
+    # every corruption on, noise included (no benchmark domain uses it), so
+    # the pin also fixes where the noise draws sit in each sample's stream;
+    # recorded with the one-image-at-a-time renderer. At 40 px a render block
+    # is 7 images: both splits end on a partial block and switch class inside
+    # one, and the downsample to 18 px has uneven bins
+    spec = DomainSpec("noisy", 17, 10, 0.3, contrast=0.8, blur_radius=2,
+                      resolution_scale=0.45, noise_std=0.05, salt_pepper_frac=0.1)
+    pins = {True: "3578853dcd5f1276c2ce77dcd8e5102d94566d08e18d547c4f512f4b6bc11fa8",
+            False: "93cc8e654d0bad5eb62dfcfe88992c5c754d01a51a2f3314903a7f87738f148c"}
+    for labeled_train, pin in pins.items():
+        ds = gen_synthetic_domain(spec, 40, seed=3, labeled_train=labeled_train)
+        h = hashlib.sha256()
+        for split in (ds.train, ds.test):
+            h.update(split.images.tobytes())
+            h.update(b"none" if split.class_labels is None else split.class_labels.tobytes())
+        assert h.hexdigest() == pin, labeled_train
 
 
 # ---------------------------------------------------------------- batching
@@ -202,6 +297,18 @@ def test_indivisible_batch_rejected():
     bench = make_benchmark(seed=1, scale_fraction=0.02, image_size=16)
     with pytest.raises(IndivisibleBatch):
         list(epoch_batches(bench, batch_size=10, seed=0, epoch=0))
+
+
+def test_epoch_batches_rejects_empty_train_split():
+    source = gen_synthetic_domain(clean_spec(), 16, seed=0)
+    empty = gen_synthetic_domain(DomainSpec("target1", 0, 4, 0.5), 16, seed=0,
+                                 labeled_train=False)
+    bench = Benchmark(domains=[source, empty])
+    assert len(empty.train) == 0
+    with pytest.raises(EmptyInput, match="target1"):
+        next(epoch_batches(bench, 2, 0, 0))
+    # a source-only stream does not draw from the empty domain
+    assert len(next(epoch_batches(bench, 2, 0, 0, domains=(0,))).source_rows) == 2
 
 
 # ---------------------------------------------------------------- PGM
