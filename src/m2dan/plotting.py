@@ -8,11 +8,11 @@ is byte-identical for identical history input.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .errors import MalformedCsv
 
 PALETTE = ("#1f77b4", "#2ca02c", "#d62728", "#9467bd", "#ff7f0e", "#8c564b")
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 _W, _H = 980, 380
 _PANEL_W, _PANEL_H = 450, 340
@@ -44,7 +44,7 @@ def _panel(x0: float, y0: float, title: str, series, ymin: float, ymax: float,
         f'<rect x="{_num(px)}" y="{_num(py)}" width="{_num(pw)}" height="{_num(ph)}" '
         'fill="none" stroke="#888888" stroke-width="1"/>',
         f'<text x="{_num(px + pw / 2)}" y="{_num(y0 + 16)}" text-anchor="middle" '
-        f'font-size="14">{escape(title)}</text>',
+        f'font-size="14">{title.translate(_XML_ESCAPES)}</text>',
         f'<text x="{_num(px + pw / 2)}" y="{_num(py + ph + 30)}" text-anchor="middle" '
         'font-size="12">epoch</text>',
     ]
@@ -85,7 +85,8 @@ def _panel(x0: float, y0: float, title: str, series, ymin: float, ymax: float,
             f'y2="{_num(ly - 4)}" stroke="{color}" stroke-width="1.5"/>'
         )
         out.append(
-            f'<text x="{_num(px + 30)}" y="{_num(ly)}" font-size="11">{escape(label)}</text>'
+            f'<text x="{_num(px + 30)}" y="{_num(ly)}" font-size="11">'
+            f'{label.translate(_XML_ESCAPES)}</text>'
         )
     return out
 

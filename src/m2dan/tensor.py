@@ -3,8 +3,9 @@
 Define-by-run: every operation whose output requires gradients is recorded on
 a thread-local tape (a Wengert list). ``backward`` seeds the loss with
 gradient 1 and replays the tape in reverse recording order exactly once,
-accumulating gradients additively over fan-out. The tape is rebuilt per
-forward pass; call :func:`reset_tape` at the start of each pass.
+accumulating gradients additively over fan-out. A tape runs from one
+:func:`reset_tape` to the next; ``backward`` leaves gradients only on leaves
+(parameters and inputs) and drops each op output's once its rule has run.
 
 numpy arrays are the storage and arithmetic substrate; all differentiation
 logic lives here.
@@ -455,27 +456,26 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from loss.
+    """Add d(loss)/d(t) to t.grad for every requires_grad leaf t reachable from loss.
 
-    Visits recorded ops in strict reverse recording order exactly once;
-    gradient contributions accumulate additively.
+    Visits the active tape's ops in strict reverse recording order exactly
+    once. Each op output's gradient is dropped once its rule has run; the
+    ops stay on the tape until the next reset_tape.
     """
     if loss.shape != (1,):
         raise NotScalar(f"backward needs a shape-[1] loss, got {loss.shape}")
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad += 1.0
+    loss.grad = np.ones(1) if loss.grad is None else loss.grad + 1.0
     for op in reversed(active_tape().ops):
         g = op.output.grad
         if g is None:
             continue
         grads = op.backward_fn(g)
+        op.output.grad = None
         for t, gi in zip(op.inputs, grads):
             if gi is None or not t.requires_grad:
                 continue
-            if t.grad is None:
-                t.grad = np.zeros(t.shape)
-            t.grad += gi
+            # out of place: add returns (g, g) and concat returns views of g
+            t.grad = gi if t.grad is None else t.grad + gi
 
 
 @dataclass
@@ -500,16 +500,13 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4, tol: f
     for i in range(flat.size):
         v = flat[i]
         flat[i] = v + h
-        reset_tape()
         with no_grad():
             fp = f(x).item()
         flat[i] = v - h
-        reset_tape()
         with no_grad():
             fm = f(x).item()
         flat[i] = v
         fd = (fp - fm) / (2.0 * h)
         rel = abs(analytic[i] - fd) / max(abs(analytic[i]), abs(fd), 1e-8)
         max_rel = max(max_rel, rel)
-    reset_tape()
     return GradCheckReport(max_rel_error=max_rel, passed=max_rel <= tol)

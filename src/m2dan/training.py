@@ -59,14 +59,13 @@ class TrainState:
     report: MetricsReport | None = None  # last epoch's evaluation; not checkpointed
 
 
-def sgd_step(params: ParamSet | Iterable[tuple[str, Tensor]], lr: float) -> None:
-    """Plain SGD: p <- p - lr * grad(p); gradients are zeroed afterwards."""
-    items = params.items() if isinstance(params, ParamSet) else params
-    for path, p in items:
+def sgd_step(params: Iterable[tuple[str, Tensor]], lr: float) -> None:
+    """Plain SGD: p <- p - lr * grad(p); gradients are dropped afterwards."""
+    for path, p in params:
         if p.grad is None:
             raise MissingGradient(f"parameter {path} reached sgd_step without a gradient")
         p.data -= lr * p.grad
-        p.grad = np.zeros(p.shape)
+        p.grad = None
 
 
 def train(model: ModelBundle, benchmark: Benchmark, hp: HyperParams) -> TrainState:
@@ -88,6 +87,8 @@ def train(model: ModelBundle, benchmark: Benchmark, hp: HyperParams) -> TrainSta
         n_batches = 0
         for batch in epoch_batches(benchmark, hp.batch_size, hp.seed, epoch,
                                    domains=train_domains):
+            # not released in backward: freeing the activations before the next batch let glibc
+            # trim the worker heaps; a 2-thread sweep on 2 cores went 1.4-1.7 -> 2.0-2.1 s a grid
             reset_tape()
             try:
                 fwd = forward(model, batch.images, hp.grl, state.step, with_domain=use_domain)

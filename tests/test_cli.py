@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -17,6 +20,7 @@ from m2dan.cli import (
 )
 from m2dan.errors import ConfigError
 from m2dan.losses import HyperParams
+from m2dan.plotting import render_curves
 
 TINY = {
     "epochs": "2",
@@ -236,6 +240,25 @@ def test_plot_rejects_empty_history(tmp_path):
     empty = tmp_path / "history.csv"
     empty.write_text("")
     assert main(["plot", "--history", str(empty), "--out", str(tmp_path / "x.svg")]) == 2
+
+
+def test_plot_escapes_domain_names():
+    header = ["epoch", "l_fo", "l_en", "l_d", "auc_a&<b>"]
+    row = {"epoch": 0, "l_fo": 1.0, "l_en": 0.5, "l_d": 0.7, "auc_a&<b>": 0.6}
+    svg = render_curves(header, [row])
+    assert ">a&amp;&lt;b&gt;</text>" in svg
+    assert "a&<b>" not in svg
+    ET.fromstring(svg)
+
+
+def test_cli_import_leaves_out_urllib():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, m2dan.cli; print('urllib.request' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------- ablate / sweep

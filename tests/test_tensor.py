@@ -311,6 +311,38 @@ def test_grads_accumulate_until_cleared():
     assert x.grad.tolist() == [2.0, 2.0]
 
 
+def test_fan_out_through_add_accumulates_per_input():
+    # add hands one array to both inputs; accumulating into it in place
+    # would leak a's second contribution into b
+    a = t([1.0], rg=True)
+    b = t([5.0], rg=True)
+    ((a + b) + a).backward()
+    assert a.grad.tolist() == [2.0]
+    assert b.grad.tolist() == [1.0]
+
+
+def test_fan_out_through_concat_sums_the_views():
+    x = t([[1.0], [2.0]], rg=True)
+    both = T.concat([x, x], axis=1)
+    T.mul(both, constant([[1.0, 2.0], [3.0, 4.0]])).sum().backward()
+    assert x.grad.tolist() == [[3.0], [7.0]]
+
+
+def test_backward_keeps_leaf_grads_and_drops_the_rest():
+    x = t([1.0, 2.0], rg=True)
+    w = t([3.0, 4.0], rg=True)
+    loss = T.mul(T.relu(x), w).sum()
+    ops = len(T.active_tape())
+    loss.backward()
+    assert len(T.active_tape()) == ops
+    assert all(op.output.grad is None for op in T.active_tape().ops)
+    assert x.grad.tolist() == [3.0, 4.0]
+    assert w.grad.tolist() == [1.0, 2.0]
+    # with the outputs' gradients gone, a second replay adds exactly once more
+    loss.backward()
+    assert x.grad.tolist() == [6.0, 8.0]
+
+
 def test_no_grad_context_skips_recording():
     x = t([1.0, 2.0], rg=True)
     with T.no_grad():

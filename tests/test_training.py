@@ -17,7 +17,7 @@ from m2dan.errors import (
 )
 from m2dan.losses import HyperParams
 from m2dan.model import ExtractorArch, ScaleSpec, build_model
-from m2dan.tensor import Tensor
+from m2dan.tensor import Tensor, reset_tape
 from m2dan.training import (
     TrainState,
     history_columns,
@@ -73,10 +73,8 @@ def test_sgd_step_applies_learning_rate():
     p.grad = np.array([2.0])
     sgd_step([("gy.w", p)], 0.001)
     assert p.data[0] == pytest.approx(0.998, abs=1e-15)
-    # the gradient buffer is zeroed, not dropped, so the next backward
-    # accumulates from a clean slate
-    assert isinstance(p.grad, np.ndarray)
-    assert np.all(p.grad == 0.0)
+    # the gradient is dropped, so the next backward starts from nothing
+    assert p.grad is None
 
 
 def test_sgd_step_zero_lr_is_identity():
@@ -90,6 +88,19 @@ def test_sgd_step_without_gradient_is_an_error():
     p = Tensor([1.0], requires_grad=True)
     with pytest.raises(MissingGradient):
         sgd_step([("gf.w", p)], 0.1)
+
+
+def test_sgd_step_rejects_a_parameter_the_last_loss_did_not_reach():
+    a = Tensor([1.0], requires_grad=True)
+    b = Tensor([2.0], requires_grad=True)
+    params = [("gy.a", a), ("gy.b", b)]
+    reset_tape()
+    (a * b).backward()
+    sgd_step(params, 0.1)
+    reset_tape()
+    (a * 3.0).backward()
+    with pytest.raises(MissingGradient, match="gy.b"):
+        sgd_step(params, 0.1)
 
 
 # ---------------------------------------------------------------- train loop
